@@ -4,16 +4,17 @@ A Gaussian aggregation tree pins the variance of every partial sum and
 the covariance between sibling partial sums. On the leaf covariance
 matrix this induces one affine constraint per branching node and child
 pair; sibling leaves get their entry fixed outright. The feasible bodies
-are the PSD matrices satisfying those constraints, and the attainable
-range of a single leaf-pair correlation is found by bisecting over pinned
-values with an alternating-projection feasibility oracle.
+are the PSD matrices satisfying those constraints. The attainable range
+of a single leaf-pair correlation is the optimum of a small semidefinite
+program over that set, solved by one log-det barrier path-following run
+that returns a feasible witness and a certified duality gap.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .errors import UnsupportedModelError
 from .gaussian import node_sum_variances, tree_dependent_covariance
 from .tree import RootedTree, node_id
 
@@ -164,243 +165,122 @@ class ExtremalResult:
     info: dict = field(default_factory=dict)
 
 
-def _psd_project(m):
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    np.clip(w, 0.0, None, out=w)
-    return (v * w) @ v.T
+_FACE_TOL = 1e-10
+_MAX_NEWTON_STEPS = 400
+_T_GROWTH = 20.0
+_CENTERED = 0.25
 
 
-def _affine_projector(dim, variances, fixed, sums):
-    diag = np.arange(dim)
-    f_rows = np.array([i for i, _ in fixed], dtype=np.intp)
-    f_cols = np.array([j for _, j in fixed], dtype=np.intp)
-    f_vals = np.array([fixed[e] for e in fixed], dtype=float)
-    blocks = [
-        (np.array([i for i, _ in entries], dtype=np.intp),
-         np.array([j for _, j in entries], dtype=np.intp),
-         rhs, len(entries))
-        for entries, rhs in sums
-    ]
-
-    def project(m):
-        out = m.copy()
-        out[diag, diag] = variances
-        out[f_rows, f_cols] = f_vals
-        out[f_cols, f_rows] = f_vals
-        for rows, cols, rhs, k in blocks:
-            shift = (rhs - out[rows, cols].sum()) / k
-            out[rows, cols] += shift
-            out[cols, rows] = out[rows, cols]
-        return out
-
-    return project
-
-
-def _pin(constraints, value):
-    """Fixed entries and sum constraints with the objective pinned."""
-    obj = constraints.objective
-    fixed = dict(constraints.fixed)
-    fixed[obj] = value
-    sums = []
-    for entries, rhs in constraints.sums:
-        if obj in entries:
-            rest = tuple(e for e in entries if e != obj)
-            if len(rest) == 1:
-                fixed[rest[0]] = rhs - value
-            elif rest:
-                sums.append((rest, rhs - value))
-        else:
-            sums.append((entries, rhs))
-    return fixed, sums
-
-
-_FEASIBLE, _INFEASIBLE, _STALLED, _EXHAUSTED = range(4)
-
-_PSD_TOL = 1e-9
-
-
-def _pin_structure(constraints):
-    """Orthonormal basis of the affine set's null space once the objective
-    is pinned. Free entries get a single-pair matrix; a sum group of size
-    g contributes the g-1 zero-sum directions over its support."""
-    fixed, sums = _pin(constraints, 0.0)
+def _null_basis(constraints):
+    """Orthonormal basis of the directions along which every constraint
+    holds: zero-diagonal symmetric matrices that move no fixed entry and
+    no constrained sum. Each off-diagonal entry is in at most one group."""
     dim = constraints.dim
-    in_sum = {e for entries, _ in sums for e in entries}
-    root2 = math.sqrt(2.0)
-    basis = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if (a, b) in fixed or (a, b) in in_sum:
-                continue
-            m = np.zeros((dim, dim))
-            m[a, b] = m[b, a] = 1.0 / root2
-            basis.append(m)
-    for entries, _ in sums:
-        g = len(entries)
-        for k in range(1, g):
-            v = np.zeros(g)
-            v[:k] = 1.0
-            v[k] = -float(k)
-            v /= np.linalg.norm(v) * root2
-            m = np.zeros((dim, dim))
-            for val, (a, b) in zip(v, entries):
-                m[a, b] = m[b, a] = val
-            basis.append(m)
-    if not basis:
-        return np.zeros((0, dim, dim))
-    return np.stack(basis)
+    rows, cols = np.triu_indices(dim, 1)
+    slot = {pair: k for k, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
+    groups = [[e] for e in constraints.fixed] + [e for e, _ in constraints.sums]
+    pinned = np.zeros((len(groups), len(rows)))
+    for g, entries in enumerate(groups):
+        pinned[g, [slot[e] for e in entries]] = 1.0
+    free = np.linalg.svd(pinned)[2][len(groups):]
+    basis = np.zeros((len(free), dim, dim))
+    basis[:, rows, cols] = basis[:, cols, rows] = free / math.sqrt(2.0)
+    return basis
 
 
-def _max_lambda_min(x0, basis, scale):
-    """Maximize the smallest eigenvalue over x0 + span(basis).
-
-    Smoothed concave maximization: the soft minimum -mu log sum exp(-l/mu)
-    is sharpened over a decreasing mu schedule with warm starts. Returns
-    the exact smallest eigenvalue at the final point and the point itself.
-    """
-    if len(basis) == 0:
-        return float(np.linalg.eigvalsh(x0)[0]), x0
-
-    def negated(z, mu):
-        m = x0 + np.tensordot(z, basis, axes=1)
-        lam, vec = np.linalg.eigh(m)
-        a = -lam / mu
-        a_max = a.max()
-        w = np.exp(a - a_max)
-        total = w.sum()
-        f = -mu * (a_max + math.log(total))
-        g = (vec * (w / total)) @ vec.T
-        grad = np.tensordot(basis, g, axes=([1, 2], [0, 1]))
-        return -f, -grad
-
-    z = np.zeros(len(basis))
-    for mu in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale, 3e-9 * scale):
-        res = minimize(negated, z, args=(mu,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-12})
-        z = res.x
-    m = x0 + np.tensordot(z, basis, axes=1)
-    m = 0.5 * (m + m.T)
-    return float(np.linalg.eigvalsh(m)[0]), m
+def _face(base, basis):
+    """Facial reduction onto the range of the tree dependent matrix
+    (Drusvyatskiy & Wolkowicz 2017). With N its null space, every X of the
+    affine set has <N N^T, X> = 0 if <N N^T, B_k> = 0 for all k, so a PSD
+    X has X N = 0; this is checked, not assumed. Returns the basis
+    restricted to {z : B(z) N = 0} and, for a frame V of the range,
+    V^T base V (positive definite) and V^T B_k V."""
+    lam, vec = np.linalg.eigh(base)
+    null = lam <= _FACE_TOL * lam[-1]
+    n = vec[:, null]
+    if np.abs(np.tensordot(basis, n @ n.T, axes=2)).max(initial=0.0) > _FACE_TOL:
+        raise UnsupportedModelError(
+            "the tree dependent covariance is singular, but the constraints "
+            "do not force every feasible covariance onto its range")
+    u, s, _ = np.linalg.svd((basis @ n).reshape(len(basis), n.size))
+    basis = np.tensordot(u[:, np.sum(s > _FACE_TOL):].T, basis, axes=1)
+    frame = vec[:, ~null]
+    return basis, frame.T @ base @ frame, frame.T @ basis @ frame
 
 
-def _probe(start, project, residual_tol, stall_floor, stall_window, max_steps):
-    """Dykstra alternating projections; classifies the pinned problem.
-
-    Feasibility is only ever declared with a witness in hand: an iterate
-    on the affine set whose smallest eigenvalue clears -1e-9.
-    """
-    y = project(start)
-    lam = float(np.linalg.eigvalsh(y)[0])
-    if lam >= -_PSD_TOL:
-        return _FEASIBLE, y, 0
-    s = np.zeros_like(y)
-    best = math.inf
-    since = 0
-    for step in range(1, max_steps + 1):
-        r = y - s
-        x = _psd_project(r)
-        s = x - r
-        y = project(x)
-        res = float(np.linalg.norm(x - y))
-        if res <= residual_tol or step % 64 == 0:
-            lam = float(np.linalg.eigvalsh(y)[0])
-            if lam >= -_PSD_TOL:
-                return _FEASIBLE, y, step
-        if res < best * 0.99:
-            best = res
-            since = 0
-        else:
-            since += 1
-        if since >= stall_window:
-            if best > stall_floor:
-                return _INFEASIBLE, y, step
-            lam = float(np.linalg.eigvalsh(y)[0])
-            if lam >= -_PSD_TOL:
-                return _FEASIBLE, y, step
-            return _STALLED, y, step
-    lam = float(np.linalg.eigvalsh(y)[0])
-    if lam >= -_PSD_TOL:
-        return _FEASIBLE, y, max_steps
-    return _EXHAUSTED, y, max_steps
-
-
-def extremal_correlation(constraints, direction, bracket_tol=1e-7,
-                         residual_tol=1e-8, stall_floor=1e-6,
-                         stall_window=2000, max_steps=50000):
+def extremal_correlation(constraints, direction, bracket_tol=1e-7):
     """Largest or smallest attainable correlation for the objective pair.
 
-    Bisects the pinned objective value between the tree dependent value
-    and the requested bound. Each pin is tested by projecting onto the
-    pinned affine set and maximizing the smallest eigenvalue over its
-    null space; pins this polish cannot settle fall back to Dykstra
-    alternating projections between the affine set and the PSD cone,
-    declared infeasible when the projection residual stalls above
-    ``stall_floor`` for ``stall_window`` consecutive steps. Feasibility
-    is only ever declared with a witness on the affine set whose
-    smallest eigenvalue clears -1e-9, so the returned witness satisfies
-    every constraint to rounding and passes the PSD check. Status is
-    "optimal" unless some probe ran out of projection steps, in which
-    case it is "budget_exhausted" and the value is a certified lower
-    estimate of the range endpoint.
+    One log-det barrier solve (Boyd & Vandenberghe, Convex Optimization,
+    11.3) over X(z) = tree_dep + sum_k z_k B_k: damped Newton steps on
+    ``-t*(+/-X_ij(z)) - log det X(z)`` from z = 0, with t multiplied by a
+    constant whenever the iterate is centered. Each Newton direction also
+    gives a dual feasible matrix, and the solve stops once that certified
+    duality gap is at most ``bracket_tol`` on the correlation scale.
+    Degenerate trees are reduced to their face first; an iterate within
+    1e-6 of +/-1 is projected onto correlation exactly +/-1, which is the
+    answer when the projection passes ``psd_feasible``. The witness meets
+    every constraint to rounding and passes ``psd_feasible``. Status is
+    "budget_exhausted" when the Newton step cap or rounding ends the solve
+    before the gap target, else "optimal"; ``info`` holds ``direction``,
+    the Newton step count ``iterations`` and the certified ``gap``.
     """
     if constraints.objective is None:
         raise ValueError("constraint set has no objective pair")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if not (math.isfinite(bracket_tol) and bracket_tol > 0):
+        raise ValueError(f"bracket_tol must be finite and > 0, got {bracket_tol!r}")
     i, j = constraints.objective
     scale = math.sqrt(constraints.variances[i] * constraints.variances[j])
-    eig_scale = float(np.max(constraints.variances))
     base = constraints.tree_dep_matrix()
-    basis = _pin_structure(constraints)
-    info = {"direction": direction, "probes": 0, "steps": 0,
-            "stall_floor": stall_floor, "stall_window": stall_window,
-            "max_steps": max_steps}
-
-    if constraints.objective in constraints.fixed:
-        t = constraints.fixed[constraints.objective]
-        return ExtremalResult(t / scale, t, base, "optimal", info)
-
-    def attempt(t, settle=True):
-        fixed, sums = _pin(constraints, t)
-        project = _affine_projector(constraints.dim, constraints.variances,
-                                    fixed, sums)
-        start = base.copy()
-        start[i, j] = start[j, i] = t
-        info["probes"] += 1
-        y = project(start)
-        if float(np.linalg.eigvalsh(y)[0]) >= -_PSD_TOL:
-            return _FEASIBLE, y
-        lam, m = _max_lambda_min(y, basis, eig_scale)
-        if lam >= -_PSD_TOL:
-            return _FEASIBLE, m
-        if len(basis) == 0 or lam < -1e-8 * eig_scale or not settle:
-            return _INFEASIBLE, m
-        verdict, y, steps = _probe(m, project, residual_tol, stall_floor,
-                                   stall_window, max_steps)
-        info["steps"] += steps
-        return verdict, y
-
+    basis, y0, yb = _face(base, _null_basis(constraints))
     sign = 1.0 if direction == "max" else -1.0
-    exhausted = False
+    slope = basis[:, i, j]
+    info = {"direction": direction, "iterations": 0, "gap": 0.0}
 
-    verdict, y = attempt(sign * scale, settle=False)
-    if verdict == _FEASIBLE:
-        return ExtremalResult(sign, sign * scale, y, "optimal", info)
+    def result(x, status, gap):
+        info["gap"] = float(gap / scale)
+        return ExtremalResult(x[i, j] / scale, x[i, j], x, status, info)
 
-    lo = float(base[i, j])
-    hi = sign * scale
-    verdict, lo_wit = attempt(lo)
-    if verdict != _FEASIBLE:
-        # the tree dependent matrix itself realizes lo
-        lo_wit = base
-    while abs(hi - lo) > bracket_tol * scale:
-        t = 0.5 * (lo + hi)
-        verdict, y = attempt(t)
-        if verdict == _FEASIBLE:
-            lo, lo_wit = t, y
-        else:
-            exhausted |= verdict == _EXHAUSTED
-            hi = t
-    status = "budget_exhausted" if exhausted else "optimal"
-    info["bracket"] = (lo / scale, hi / scale)
-    return ExtremalResult(lo / scale, lo, lo_wit, status, info)
+    if np.linalg.norm(slope) <= _FACE_TOL:
+        return result(base, "optimal", 0.0)
+    z = np.zeros(len(basis))
+    t = len(y0) / scale
+    gap = math.inf
+    x = base
+    try:
+        for steps in range(_MAX_NEWTON_STEPS + 1):
+            # Rounding near machine precision raises; keep the last iterate.
+            inv = np.linalg.inv(np.linalg.cholesky(y0 + np.tensordot(z, yb, axes=1)))
+            x = base + np.tensordot(z, basis, axes=1)
+            info["iterations"] = steps
+            scaled = inv @ yb @ inv.T
+            flat = scaled.reshape(len(basis), -1)
+            hess = flat @ flat.T
+            if sign * x[i, j] >= (1.0 - 1e-6) * scale:
+                # Shortest move, in the Hessian metric, onto X w = 0.
+                w = np.zeros(len(x))
+                w[i], w[j] = 1.0 / math.sqrt(x[i, i]), -sign / math.sqrt(x[j, j])
+                move = np.linalg.solve(hess, basis @ w)
+                pull = np.linalg.lstsq((basis @ w).T @ move, x @ w, rcond=None)[0]
+                snap = x - np.tensordot(move @ pull, basis, axes=1)
+                if abs(snap[i, j] - sign * scale) <= 1e-12 * scale:
+                    snap[i, j] = snap[j, i] = sign * scale
+                    if psd_feasible(snap)[0]:
+                        return result(snap, "optimal", 0.0)
+            trace = np.trace(scaled, axis1=1, axis2=2)
+            while True:
+                dz = np.linalg.solve(hess, t * sign * slope + trace)
+                s = np.linalg.eigvalsh(np.tensordot(dz, scaled, axes=1))
+                if s[-1] <= 1.0:
+                    gap = (len(y0) - s.sum()) / t
+                    if gap <= bracket_tol * scale:
+                        return result(x, "optimal", gap)
+                if s @ s > _CENTERED or steps == _MAX_NEWTON_STEPS:
+                    break
+                t *= _T_GROWTH
+            z = z + dz / (1.0 + math.sqrt(s @ s))
+    except np.linalg.LinAlgError:
+        pass
+    return result(x, "budget_exhausted", gap)

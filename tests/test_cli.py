@@ -261,12 +261,36 @@ class TestExtremal:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("direction=max ")
+        fields = dict(part.split("=") for part in lines[0].split())
+        assert int(fields["iterations"]) >= 0
+        assert float(fields["gap"]) <= 1e-7
 
     def test_malformed_pair_exits_2(self, four_leaf_config, config_file,
                                     capsys):
         rc = main(["extremal", config_file(four_leaf_config), "--pair", "1.1"])
         assert rc == 2
         assert "--pair must name two leaves" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_bracket_tol_exits_2(self, four_leaf_config, config_file,
+                                     capsys, tol):
+        rc = main(["extremal", config_file(four_leaf_config),
+                   "--pair", "1.1,2.1", f"--bracket-tol={tol}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--bracket-tol must be finite and > 0" in captured.err
+        assert captured.out == ""
+
+    def test_gap_target_not_reached_exits_3(self, four_leaf_config,
+                                            config_file, capsys):
+        rc = main(["extremal", config_file(four_leaf_config),
+                   "--pair", "1.1,2.1", "--direction", "min",
+                   "--bracket-tol", "1e-30"])
+        assert rc == 3
+        fields = dict(part.split("=")
+                      for part in capsys.readouterr().out.split())
+        assert fields["status"] == "budget_exhausted"
+        assert float(fields["gap"]) > 1e-30
 
 
 class TestExperimentPresets:

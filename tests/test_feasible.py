@@ -14,6 +14,7 @@ from aggtree import (
     symmetric_tree_dep_corr,
     three_leaf_corr_interval,
 )
+from aggtree.errors import UnsupportedModelError
 
 
 def three_leaf_constraints(v1, v2, v3, rho12, rho0, objective=("1.1", "2")):
@@ -118,15 +119,23 @@ class TestPsdFeasible:
 
 class TestExtremalCorrelation:
     def test_agrees_with_closed_form_on_grid(self):
-        for rho12 in (-0.9, 0.0, 0.9):
-            for rho0 in (-0.45, 0.45):
-                cs = three_leaf_constraints(1.0, 1.0, 1.0, rho12, rho0)
-                interval = three_leaf_corr_interval(1.0, 1.0, 1.0, rho12, rho0)
-                lo = extremal_correlation(cs, "min")
-                hi = extremal_correlation(cs, "max")
-                assert lo.value == pytest.approx(interval.min, abs=1e-6)
-                assert hi.value == pytest.approx(interval.max, abs=1e-6)
-                assert lo.status == "optimal" and hi.status == "optimal"
+        grid = [(rho12, rho0, 1e-6) for rho12 in (-0.9, 0.0, 0.9)
+                for rho0 in (-0.45, 0.45)]
+        # degenerate trees: perfectly dependent pair or zero-variance sum
+        grid += [(rho12, rho0, 1e-9) for rho12, rho0 in
+                 ((1.0, 0.3), (0.5, 1.0), (0.5, -1.0), (-1.0, 0.0), (-1.0, 0.5))]
+        for rho12, rho0, tol in grid:
+            cs = three_leaf_constraints(1.0, 1.0, 1.0, rho12, rho0)
+            interval = three_leaf_corr_interval(1.0, 1.0, 1.0, rho12, rho0)
+            lo = extremal_correlation(cs, "min")
+            hi = extremal_correlation(cs, "max")
+            assert lo.value == pytest.approx(interval.min, abs=tol)
+            assert hi.value == pytest.approx(interval.max, abs=tol)
+            assert lo.status == "optimal" and hi.status == "optimal"
+            for res in (lo, hi):
+                assert res.witness[cs.objective] == res.covariance
+                assert psd_feasible(res.witness)[0]
+                assert cs.residual(res.witness) <= 1e-9
 
     def test_result_fields_and_witness_quality(self):
         cs = three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3)
@@ -144,7 +153,8 @@ class TestExtremalCorrelation:
         assert got == pytest.approx(rhs, abs=1e-7)
         assert w[cs.objective] == pytest.approx(res.covariance, abs=1e-9)
         assert res.info["direction"] == "max"
-        assert res.info["probes"] >= 1
+        assert res.info["iterations"] >= 1
+        assert res.info["gap"] <= 1e-7  # the default bracket_tol
 
     def test_fully_fixed_objective_is_trivial(self):
         tree = RootedTree.from_nested({"children": [{}, {}, {}]})
@@ -165,6 +175,16 @@ class TestExtremalCorrelation:
             assert lo.value == pytest.approx(-1.0, abs=1e-3)
             assert hi.value == pytest.approx(1.0, abs=1e-3)
 
+    def test_symmetric_comonotone_tree_is_a_point(self):
+        # rho = 1 makes every leaf equal; the null space of the start is
+        # forced only jointly, not direction by direction
+        for pair in (("1.1.1", "1.2.1"), ("1.1.1", "2.2.2")):
+            cs = symmetric_tree_constraints(3, 1.0, objective=pair)
+            for direction in ("min", "max"):
+                res = extremal_correlation(cs, direction)
+                assert res.value == pytest.approx(1.0, abs=1e-12)
+                assert res.status == "optimal"
+
     def test_requires_objective(self):
         tree = RootedTree.from_nested({"children": [{"children": [{}, {}]}, {}]})
         corrs = {(1,): np.eye(2), (): np.eye(2)}
@@ -176,6 +196,42 @@ class TestExtremalCorrelation:
         cs = three_leaf_constraints(1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             extremal_correlation(cs, "both")
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_gap_target(self, tol):
+        cs = three_leaf_constraints(1.0, 1.0, 1.0, 0.0, 0.3)
+        with pytest.raises(ValueError, match="bracket_tol"):
+            extremal_correlation(cs, "max", bracket_tol=tol)
+
+    def test_unreachable_gap_target_exhausts_with_feasible_witness(self):
+        cs = three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3)
+        res = extremal_correlation(cs, "min", bracket_tol=1e-30)
+        assert res.status == "budget_exhausted"
+        assert res.info["gap"] > 1e-30
+        assert psd_feasible(res.witness)[0]
+        assert cs.residual(res.witness) <= 1e-9
+        interval = three_leaf_corr_interval(1.0, 2.0, 1.5, 0.6, 0.3)
+        assert res.value == pytest.approx(interval.min, abs=1e-9)
+
+    def test_unforced_singular_start_is_rejected(self):
+        # a singular start whose null direction the constraints leave free
+        cs = CovarianceConstraintSet(
+            leaf_order=((1,), (2,)), variances=[1.0, 1.0], fixed={}, sums=[],
+            tree_dep=np.ones((2, 2)), objective=(0, 1))
+        with pytest.raises(UnsupportedModelError, match="singular"):
+            extremal_correlation(cs, "min")
+
+    def test_symmetric_grid_witnesses_carry_certificates(self):
+        for rho in [round(-0.9 + 0.3 * k, 10) for k in range(7)]:
+            for pair in (("1.1.1", "1.2.1"), ("1.1.1", "2.2.2")):
+                cs = symmetric_tree_constraints(3, rho, objective=pair)
+                for direction in ("min", "max"):
+                    res = extremal_correlation(cs, direction)
+                    assert res.status == "optimal"
+                    assert psd_feasible(res.witness)[0]
+                    assert cs.residual(res.witness) <= 1e-9
+                    assert res.info["gap"] <= 1e-7
+                    assert res.witness[cs.objective] == res.covariance
 
     def test_min_below_tree_dep_below_max(self):
         rng = np.random.default_rng(17)
