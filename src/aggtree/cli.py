@@ -54,11 +54,34 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(mapping, key, where):
+    """mapping[key] as a float; it must be a finite JSON number."""
+    value = _require(mapping, key, where)
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(cfg, key):
+    """cfg[key] as an int or None when absent; it must be a whole number >= 0."""
+    value = cfg.get(key)
+    if value is None:
+        return None
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if not (_is_number(value) and whole and value >= 0):
+        raise ConfigError(
+            f"config field {key!r} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _marginal_from_spec(spec, where):
     kind = _require(spec, "type", where)
     if kind == "normal":
-        return Normal(float(_require(spec, "mean", where)),
-                      float(_require(spec, "var", where)))
+        return Normal(_finite(spec, "mean", where), _finite(spec, "var", where))
     if kind == "discrete":
         return Discrete(_require(spec, "support", where),
                         _require(spec, "probs", where))
@@ -75,7 +98,7 @@ def _copula_from_spec(spec, arity, where):
                 raise ConfigError(
                     f"{where}: 'rho' shorthand needs a binary node, arity is {arity}"
                 )
-            return GaussianCopula.bivariate(float(spec["rho"]))
+            return GaussianCopula.bivariate(_finite(spec, "rho", where))
         corr = np.asarray(_require(spec, "correlation", where), dtype=float)
         return GaussianCopula(corr)
     raise ConfigError(f"{where}: unknown copula type {kind!r}")
@@ -100,9 +123,7 @@ def model_from_config(cfg):
         arity = tree.arity(node) if node in tree and tree.arity(node) > 0 else 2
         copulas[node] = _copula_from_spec(spec, arity, f"copula {label!r}")
     model = AggregationTreeModel(tree, marginals, copulas)
-    seed = cfg.get("seed")
-    n = cfg.get("n")
-    return model, (None if seed is None else int(seed)), (None if n is None else int(n))
+    return model, _count(cfg, "seed"), _count(cfg, "n")
 
 
 def _marginal_spec(dist):
@@ -564,7 +585,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=float, default=10**8,
-                   help="generation budget for the mra algorithm")
+                   help="most leaf values the mra algorithm may draw")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

@@ -23,10 +23,13 @@ class Normal:
     __slots__ = ("mean", "variance")
 
     def __init__(self, mean, variance):
+        mean = float(mean)
         variance = float(variance)
-        if not variance > 0.0:
-            raise ValueError("variance must be positive")
-        self.mean = float(mean)
+        if not math.isfinite(mean):
+            raise ValueError("mean must be finite")
+        if not (math.isfinite(variance) and variance > 0.0):
+            raise ValueError("variance must be finite and positive")
+        self.mean = mean
         self.variance = variance
 
     @property
@@ -62,6 +65,8 @@ class Discrete:
         probs = np.asarray(probs, dtype=float)
         if support.ndim != 1 or support.shape != probs.shape or support.size == 0:
             raise ValueError("support and probs must be matching 1-d sequences")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+            raise ValueError("support and probs must be finite")
         if np.any(np.diff(support) <= 0.0):
             raise ValueError("support must be strictly increasing")
         if np.any(probs <= 0.0):
@@ -124,6 +129,8 @@ class GaussianCopula:
         r = np.asarray(correlation, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("correlation must be square")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("correlation entries must be finite")
         if not np.allclose(r, r.T, atol=1e-12):
             raise ValueError("correlation must be symmetric")
         if not np.allclose(np.diag(r), 1.0, atol=1e-12):

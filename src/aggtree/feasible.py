@@ -69,12 +69,6 @@ class CovarianceConstraintSet:
             raise ValueError("objective must name two distinct leaves")
         return (i, j)
 
-    def with_objective(self, pair):
-        return CovarianceConstraintSet(
-            self.leaf_order, self.variances, self.fixed, self.sums,
-            self.tree_dep, objective=pair,
-        )
-
     def tree_dep_matrix(self):
         return self.tree_dep.copy()
 

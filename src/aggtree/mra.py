@@ -1,11 +1,13 @@
 """Modified reordering: i.i.d. joint realizations from an aggregation tree.
 
 The plain reordering of :mod:`aggtree.reorder` produces the right
-aggregate law but dependent rows. Here every branching level draws n
-independent reordered sets, each built with the first component pinned to
-its own fresh sample, and keeps the diagonal (set k, atom k), which makes
-the kept rows independent. The cost grows by a factor of n per branching
-level, so runs are gated by an explicit generation budget.
+aggregate law but dependent rows. Here every output row of a branching
+node gets its own reordering of n fresh rows of each child, done by the
+same kernel, :func:`aggtree.reorder._reorder`, with the first child
+pinned: atom k keeps child 1's row k. Row t keeps atom t mod n of its
+set, which makes the kept rows independent. The cost grows by a factor
+of n per branching level, so runs are gated by an explicit generation
+budget.
 
 Also provides the exact tree-dependent pmf for discrete models on binary
 trees, the validation target for the sampler.
@@ -15,7 +17,7 @@ import numpy as np
 from ._rng import node_stream
 from .distributions import Discrete, bivariate_gaussian_copula_cdf
 from .errors import GenerationBudgetError, SupportSizeError, UnsupportedModelError
-from .reorder import NodeAtoms, _assemble, _check_children, _fix_first_perm, _linked_picks
+from .reorder import _reorder, _reorder_atoms
 from .tree import node_label
 
 __all__ = [
@@ -29,6 +31,8 @@ __all__ = [
 ]
 
 _SNAP_DECIMALS = 9
+# deepest-level draws per chunk of run_mra rows; bounds the working set
+_CHUNK_ELEMS = 2 * 10**7
 
 
 def reorder_fixed_first(child_atoms, copula_samples):
@@ -38,60 +42,33 @@ def reorder_fixed_first(child_atoms, copula_samples):
     The atom multiset is identical to the plain reordering's; only the
     order of atoms differs.
     """
-    copula_samples = _check_children(child_atoms, copula_samples)
-    sums = [c.sums[None, :] for c in child_atoms]
-    u = copula_samples[None, :, :]
-    picks = _linked_picks(sums, u)
-    perm = _fix_first_perm(sums[0], u)
-    return _assemble(child_atoms, picks, row_perm=perm)
+    return _reorder_atoms(child_atoms, copula_samples, pin_first=True)
 
 
-def _reorder_fixed_batched(child_sums, child_comps, u):
-    """Fixed-first reordering applied independently along the first axis.
+def _iid_rows(model, streams, node, rows, n, start=0):
+    """``rows`` i.i.d. realizations of the subtree below ``node``.
 
-    child_sums are (r, n) blocks, child_comps (r, n, M_i), u is (r, n, m).
-    Returns parent sums (r, n) and composition (r, n, sum M_i).
-    """
-    picks = _linked_picks(child_sums, u)
-    perm = _fix_first_perm(child_sums[0], u)
-    parts = []
-    comps = []
-    for s, c, pick in zip(child_sums, child_comps, picks):
-        final = np.take_along_axis(pick, perm, axis=1)
-        parts.append(np.take_along_axis(s, final, axis=1))
-        comps.append(np.take_along_axis(c, final[:, :, None], axis=1))
-    sums = parts[0].copy()
-    for p in parts[1:]:
-        sums += p
-    return sums, np.concatenate(comps, axis=2)
-
-
-def _iid_sets(model, streams, node, sets, n):
-    """``sets`` independent blocks of n i.i.d. subtree realizations.
-
-    Returns (sums, composition) with shapes (sets, n) and (sets, n, M).
-    For a branching node this regenerates the whole subtree n times per
-    output set and keeps the diagonal atoms.
+    Returns (sums, composition) with shapes (rows,) and (rows, M). At a
+    branching node, row t is atom (start + t) mod n of its own fixed-first
+    reordering of n fresh rows of every child, so each branching level
+    multiplies the draws below it by n.
     """
     tree = model.tree
     if tree.arity(node) == 0:
-        x = model.marginals[node].sample(sets * n, streams("marginal", node))
-        x = x.reshape(sets, n)
-        return x, x[:, :, None]
+        x = model.marginals[node].sample(rows, streams("marginal", node))
+        return x, x[:, None]
     children = tree.children(node)
-    child_sums = []
-    child_comps = []
-    for child in children:
-        s, c = _iid_sets(model, streams, child, sets * n, n)
-        child_sums.append(s)
-        child_comps.append(c)
-    u = model.copulas[node].sample(sets * n * n, streams("copula", node))
-    u = u.reshape(sets * n, n, len(children))
-    sums, comp = _reorder_fixed_batched(child_sums, child_comps, u)
-    k = np.arange(n)
-    sums = sums.reshape(sets, n, n)[:, k, k]
-    comp = comp.reshape(sets, n, n, -1)[:, k, k, :]
-    return sums, comp
+    kids = [_iid_rows(model, streams, child, rows * n, n) for child in children]
+    u = model.copulas[node].sample(rows * n, streams("copula", node))
+    sums, _, comp = _reorder(
+        [s.reshape(rows, n) for s, _ in kids],
+        [c.reshape(rows, n, -1) for _, c in kids],
+        u.reshape(rows, n, len(children)),
+        pin_first=True,
+    )
+    t = np.arange(rows)
+    k = (start + t) % n
+    return sums[t, k], comp[t, k]
 
 
 class MraOutput:
@@ -118,21 +95,20 @@ class MraOutput:
         return f"MraOutput(n={self.n}, leaves={len(self.leaf_order)})"
 
 
-def run_mra(model, n, seed, budget=10**8, chunk_elems=2 * 10**7):
+def run_mra(model, n, seed, budget=10**8):
     """Sample n i.i.d. joint leaf vectors; deterministic given ``seed``.
 
-    Refuses to run when the estimated generation count n**levels (levels =
-    largest number of branching ancestors over all leaves) exceeds
-    ``budget``. ``chunk_elems`` bounds working-set array sizes; it does
-    not change the output.
+    A leaf below d branching nodes draws n**(d + 1) values. Refuses to run,
+    before drawing anything, when the sum of these counts over all leaves
+    exceeds ``budget``; the error carries that count as ``estimate``. Rows
+    are built in chunks of about ``_CHUNK_ELEMS`` deepest-level draws; the
+    chunking does not change the output.
     """
     model.require_valid()
     if n < 2:
         raise ValueError("n must be >= 2")
-    tree = model.tree
-    leaves = tree.leaves()
-    levels = max(len(lf) for lf in leaves)
-    estimate = float(n) ** levels
+    leaves = model.tree.leaves()
+    estimate = float(sum(n ** (len(leaf) + 1) for leaf in leaves))
     if estimate > budget:
         raise GenerationBudgetError(estimate, budget)
 
@@ -144,30 +120,12 @@ def run_mra(model, n, seed, budget=10**8, chunk_elems=2 * 10**7):
             cache[key] = node_stream(seed, purpose, node)
         return cache[key]
 
-    root = ()
-    if levels == 0:
-        x = model.marginals[root].sample(n, streams("marginal", root))
-        return MraOutput(model, x[:, None], leaves)
-
-    children = tree.children(root)
-    copula = model.copulas[root]
     out = np.empty((n, len(leaves)))
-    # sets * n**levels elements at the deepest level of the recursion
-    max_sets = max(1, min(n, chunk_elems // (n ** levels)))
-    offset = 0
-    while offset < n:
-        b = min(max_sets, n - offset)
-        child_sums = []
-        child_comps = []
-        for child in children:
-            s, c = _iid_sets(model, streams, child, b, n)
-            child_sums.append(s)
-            child_comps.append(c)
-        u = copula.sample(b * n, streams("copula", root)).reshape(b, n, len(children))
-        _, comp = _reorder_fixed_batched(child_sums, child_comps, u)
-        local = np.arange(b)
-        out[offset:offset + b] = comp[local, offset + local, :]
-        offset += b
+    levels = max(len(leaf) for leaf in leaves)
+    step = max(1, _CHUNK_ELEMS // n ** levels)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        out[start:stop] = _iid_rows(model, streams, (), stop - start, n, start)[1]
     return MraOutput(model, out, leaves)
 
 

@@ -2,9 +2,13 @@
 
 Leaves are sampled independently; at every branching node, samples of the
 children sums are re-paired so that their ranks match the ranks of a
-sample from the node copula, and the paired rows are summed. Full leaf
-composition is carried along so the joint leaf vector behind every node
-sum stays recoverable.
+sample from the node copula (Iman and Conover 1982; Arbenz, Hummel and
+Mainik 2012), and the paired rows are summed. Full leaf composition is
+carried along so the joint leaf vector behind every node sum stays
+recoverable.
+
+One batched kernel, :func:`_reorder`, does the re-pairing for both the
+plain reordering here and the fixed-first variant of :mod:`aggtree.mra`.
 """
 import numpy as np
 
@@ -35,40 +39,43 @@ def ranks(values):
     return out
 
 
-def _ranks0(block):
-    """Stable 0-based ranks along axis 1 of a 2-d block."""
-    order = np.argsort(block, axis=1, kind="stable")
-    out = np.empty(block.shape, dtype=np.int64)
-    np.put_along_axis(
-        out, order, np.broadcast_to(np.arange(block.shape[1]), block.shape), axis=1
-    )
-    return out
+def _reorder(child_sums, child_comps, u, pin_first):
+    """Re-pair children rows by copula ranks, independently along axis 0.
 
+    child_sums are (r, n) blocks, child_comps (r, n, M_i), u is (r, n, m)
+    with one column per child. Atom k takes from child i the order
+    statistic whose stable rank equals the stable rank of u[:, k, i]. With
+    ``pin_first`` the atoms are then re-ordered so that atom k holds child
+    1's row k; the atom multiset is unchanged.
 
-def _linked_picks(child_sums, copula_samples):
-    """Row indices into each child that realize the copula's rank pattern.
-
-    child_sums is a list of (r, n) blocks, copula_samples is (r, n, m).
-    Returns one (r, n) int array per child: entry [s, k] is the row of
-    child i holding the order statistic matched to atom k in set s.
+    Returns the parent sums (r, n), the per-child parts (a list of (r, n)
+    blocks) and the composition (r, n, sum M_i). Sums add the parts in
+    child order.
     """
-    picks = []
-    for i, sums in enumerate(child_sums):
-        p = _ranks0(copula_samples[:, :, i])
-        order = np.argsort(sums, axis=1, kind="stable")
-        picks.append(np.take_along_axis(order, p, axis=1))
-    return picks
-
-
-def _fix_first_perm(first_child_sums, copula_samples):
-    """Row permutation that pins atom k's first component to sample k."""
-    p1 = _ranks0(copula_samples[:, :, 0])
-    inv = np.empty(p1.shape, dtype=np.int64)
-    np.put_along_axis(
-        inv, p1, np.broadcast_to(np.arange(p1.shape[1]), p1.shape), axis=1
-    )
-    q1 = _ranks0(first_child_sums)
-    return np.take_along_axis(inv, q1, axis=1)
+    r, n = child_sums[0].shape
+    comp = np.empty((r, n, sum(c.shape[2] for c in child_comps)))
+    parts = []
+    col = 0
+    # child by child, so that one child's index arrays are alive at a time:
+    # they are (r, n) each and set the peak memory of run_mra
+    for i, (s, c) in enumerate(zip(child_sums, child_comps)):
+        o_u = np.argsort(u[:, :, i], axis=1, kind="stable")
+        o_s = np.argsort(s, axis=1, kind="stable")
+        pick = np.empty_like(o_s)
+        np.put_along_axis(pick, o_u, o_s, axis=1)
+        if pin_first:
+            # in the plain pairing, child 1's row o_s1[j] sits in atom
+            # o_u1[j]; moving that atom to row o_s1[j] pins child 1
+            if i == 0:
+                o_u1, o_s1 = o_u, o_s
+            np.put_along_axis(pick, o_s1, np.take_along_axis(pick, o_u1, axis=1), axis=1)
+        parts.append(np.take_along_axis(s, pick, axis=1))
+        comp[:, :, col:col + c.shape[2]] = np.take_along_axis(c, pick[:, :, None], axis=1)
+        col += c.shape[2]
+    sums = parts[0].copy()
+    for p in parts[1:]:
+        sums += p
+    return sums, parts, comp
 
 
 class NodeAtoms:
@@ -77,8 +84,7 @@ class NodeAtoms:
     sums holds the n node-sum samples. For branching nodes, components
     column i holds the child-i summand of each atom. composition holds
     the underlying leaf values (columns follow leaf_order, the
-    lexicographic leaf order of the subtree); it is None when composition
-    tracking is disabled.
+    lexicographic leaf order of the subtree).
     """
 
     __slots__ = ("node", "sums", "components", "composition", "leaf_order")
@@ -91,10 +97,9 @@ class NodeAtoms:
         self.leaf_order = leaf_order
 
     @classmethod
-    def for_leaf(cls, node, samples, track_composition=True):
+    def for_leaf(cls, node, samples):
         samples = np.asarray(samples, dtype=float)
-        comp = samples[:, None] if track_composition else None
-        return cls(node, samples, None, comp, (node,))
+        return cls(node, samples, None, samples[:, None], (node,))
 
     @property
     def n(self):
@@ -104,38 +109,29 @@ class NodeAtoms:
         return f"NodeAtoms({node_label(self.node)}, n={self.n})"
 
 
-def _assemble(child_atoms, picks, row_perm=None):
-    parts = []
-    comps = []
-    track = all(c.composition is not None for c in child_atoms)
-    for child, pick in zip(child_atoms, picks):
-        if row_perm is not None:
-            pick = np.take_along_axis(pick, row_perm, axis=1)
-        idx = pick[0]
-        parts.append(child.sums[idx])
-        if track:
-            comps.append(child.composition[idx])
-    components = np.column_stack(parts)
-    sums = components.sum(axis=1)
-    composition = np.hstack(comps) if track else None
-    leaf_order = tuple(x for child in child_atoms for x in child.leaf_order)
-    parent = child_atoms[0].node[:-1] if child_atoms[0].node else child_atoms[0].node
-    return NodeAtoms(parent, sums, components, composition, leaf_order)
-
-
-def _check_children(child_atoms, copula_samples):
-    copula_samples = np.asarray(copula_samples, dtype=float)
+def _reorder_atoms(child_atoms, copula_samples, pin_first):
+    """:func:`_reorder` on one set of children, as the parent's NodeAtoms."""
+    u = np.asarray(copula_samples, dtype=float)
     if not child_atoms:
         raise ValueError("need at least one child")
     n = child_atoms[0].n
     if any(c.n != n for c in child_atoms):
         raise ValueError("children carry different sample counts")
-    if copula_samples.shape != (n, len(child_atoms)):
+    if u.shape != (n, len(child_atoms)):
         raise ValueError(
             f"copula sample block must have shape {(n, len(child_atoms))}, "
-            f"got {copula_samples.shape}"
+            f"got {u.shape}"
         )
-    return copula_samples
+    sums, parts, comp = _reorder(
+        [c.sums[None, :] for c in child_atoms],
+        [c.composition[None, :, :] for c in child_atoms],
+        u[None, :, :],
+        pin_first,
+    )
+    leaf_order = tuple(x for child in child_atoms for x in child.leaf_order)
+    parent = child_atoms[0].node[:-1]
+    return NodeAtoms(parent, sums[0], np.column_stack([p[0] for p in parts]),
+                     comp[0], leaf_order)
 
 
 def reorder_children(child_atoms, copula_samples):
@@ -144,13 +140,10 @@ def reorder_children(child_atoms, copula_samples):
     Atom k's component i is the order statistic of child i's sums whose
     rank equals the rank of copula sample k in column i.
     """
-    copula_samples = _check_children(child_atoms, copula_samples)
-    sums = [c.sums[None, :] for c in child_atoms]
-    picks = _linked_picks(sums, copula_samples[None, :, :])
-    return _assemble(child_atoms, picks)
+    return _reorder_atoms(child_atoms, copula_samples, pin_first=False)
 
 
-def run_reordering(model, n, seed, track_composition=True):
+def run_reordering(model, n, seed):
     """Run the full bottom-up reordering; returns {node: NodeAtoms}.
 
     Leaves hold raw marginal samples. The root's composition block is an
@@ -164,9 +157,7 @@ def run_reordering(model, n, seed, track_composition=True):
     atoms = {}
     for leaf in tree.leaves():
         rng = node_stream(seed, "marginal", leaf)
-        atoms[leaf] = NodeAtoms.for_leaf(
-            leaf, model.marginals[leaf].sample(n, rng), track_composition
-        )
+        atoms[leaf] = NodeAtoms.for_leaf(leaf, model.marginals[leaf].sample(n, rng))
     for node in sorted(tree.branching(), key=len, reverse=True):
         u = model.copulas[node].sample(n, node_stream(seed, "copula", node))
         atoms[node] = reorder_children([atoms[c] for c in tree.children(node)], u)

@@ -83,6 +83,59 @@ class TestValidate:
         assert exc.value.code == 2
 
 
+class TestConfigFields:
+    """Each malformed field exits 2 with a message naming it."""
+
+    def run(self, cfg, config_file, tmp_path, capsys, command="sample"):
+        out = tmp_path / "draws.csv"
+        rc = main([command, config_file(cfg)] +
+                  (["--out", str(out)] if command == "sample" else []))
+        assert rc == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_nan_mean_exits_2(self, four_leaf_config, config_file, tmp_path,
+                              capsys):
+        four_leaf_config["marginals"]["1.1"]["mean"] = math.nan
+        for command in ("validate", "sample"):
+            err = self.run(four_leaf_config, config_file, tmp_path, capsys,
+                           command)
+            assert "marginal '1.1': 'mean' must be a finite number" in err
+
+    def test_infinite_var_exits_2(self, four_leaf_config, config_file,
+                                  tmp_path, capsys):
+        four_leaf_config["marginals"]["2.1"]["var"] = math.inf
+        err = self.run(four_leaf_config, config_file, tmp_path, capsys)
+        assert "marginal '2.1': 'var' must be a finite number" in err
+
+    def test_fractional_n_exits_2(self, four_leaf_config, config_file,
+                                  tmp_path, capsys):
+        four_leaf_config["n"] = 2.7
+        err = self.run(four_leaf_config, config_file, tmp_path, capsys)
+        assert "config field 'n' must be a nonnegative integer" in err
+
+    def test_boolean_seed_exits_2(self, four_leaf_config, config_file,
+                                  tmp_path, capsys):
+        four_leaf_config["seed"] = True
+        err = self.run(four_leaf_config, config_file, tmp_path, capsys)
+        assert "config field 'seed' must be a nonnegative integer" in err
+
+    def test_nan_rho_exits_2(self, four_leaf_config, config_file, tmp_path,
+                             capsys):
+        four_leaf_config["copulas"]["root"]["rho"] = math.nan
+        err = self.run(four_leaf_config, config_file, tmp_path, capsys)
+        assert "copula 'root': 'rho' must be a finite number" in err
+        assert "symmetric" not in err
+
+    def test_whole_float_n_is_accepted(self, four_leaf_config, config_file,
+                                       tmp_path):
+        four_leaf_config["n"] = 50.0
+        out = tmp_path / "draws.csv"
+        assert main(["sample", config_file(four_leaf_config),
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 50
+
+
 class TestSample:
     def test_reorder_output_shape_and_header(self, four_leaf_config,
                                              config_file, tmp_path):

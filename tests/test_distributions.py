@@ -51,6 +51,13 @@ class TestNormal:
             Normal(0.0, 0.0)
         with pytest.raises(ValueError):
             Normal(0.0, -1.0)
+        with pytest.raises(ValueError, match="variance"):
+            Normal(0.0, math.inf)
+
+    def test_mean_must_be_finite(self):
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean"):
+                Normal(mean, 1.0)
 
     def test_sampling_deterministic_per_seed(self):
         a = Normal(1.0, 2.0).sample(100, stream(3))
@@ -93,6 +100,10 @@ class TestDiscrete:
             Discrete([0.0, 1.0], [0.5, 0.6])  # probs sum != 1
         with pytest.raises(ValueError):
             Discrete([0.0, 1.0], [1.1, -0.1])
+        with pytest.raises(ValueError, match="finite"):
+            Discrete([0.0, 1.0], [math.nan, 0.5])  # passed every other check
+        with pytest.raises(ValueError, match="finite"):
+            Discrete([0.0, math.nan], [0.5, 0.5])
 
 
 class TestCopulas:
@@ -142,6 +153,8 @@ class TestCopulas:
             GaussianCopula(np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]]))
         with pytest.raises(ValueError):
             GaussianCopula(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianCopula.bivariate(math.nan)
 
     def test_copula_correlation_accessor(self):
         c = GaussianCopula.bivariate(0.25)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import aggtree.mra
 from aggtree import (
     AggregationTreeModel,
     Discrete,
@@ -101,9 +102,11 @@ class TestRunMra:
         other = run_mra(four_leaf_model, 64, seed=4)
         assert not np.array_equal(out.realizations, other.realizations)
 
-    def test_chunking_does_not_change_output(self, four_leaf_model):
+    def test_chunking_does_not_change_output(self, four_leaf_model,
+                                             monkeypatch):
         full = run_mra(four_leaf_model, 100, seed=8)
-        chunked = run_mra(four_leaf_model, 100, seed=8, chunk_elems=5000)
+        monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", 5000)
+        chunked = run_mra(four_leaf_model, 100, seed=8)
         np.testing.assert_array_equal(full.realizations, chunked.realizations)
 
     def test_depth_one_moments(self):
@@ -144,7 +147,8 @@ class TestRunMra:
         with pytest.raises(GenerationBudgetError) as exc:
             run_mra(model, 10**5, seed=0)
         err = exc.value
-        assert err.estimate == pytest.approx(1e10)
+        # leaves 1.1 and 1.2 each draw n**3 values, leaf 2 draws n**2
+        assert err.estimate == pytest.approx(2e15 + 1e10)
         assert err.budget == pytest.approx(1e8)
         assert "exceeds budget" in str(err)
         # explicit budget raise lets the same call through

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,17 +17,38 @@ from aggtree import (
     run_reordering,
     tree_dependent_law,
 )
+from aggtree.cli import main
 
 # worked three-sample instance used throughout: two leaves under the root
 X1 = np.array([1.0, 4.0, 2.0])
 X2 = np.array([9.0, 0.0, 3.0])
 U = np.array([[0.6, 0.9], [0.3, 0.5], [0.5, 0.2]])
 
+# six normal leaves under a ternary, a binary and a leaf child of a
+# ternary root: ternary nodes add three parts per sum and sample a
+# 3-dimensional copula
+SIX_LEAF_NORMAL_CONFIG = {
+    "tree": {"children": [{"children": [{}, {}, {}]}, {"children": [{}, {}]}, {}]},
+    "marginals": {
+        "1.1": {"type": "normal", "mean": 1, "var": 2},
+        "1.2": {"type": "normal", "mean": -1, "var": 0.5},
+        "1.3": {"type": "normal", "mean": 3, "var": 4},
+        "2.1": {"type": "normal", "mean": 0, "var": 1},
+        "2.2": {"type": "normal", "mean": 2, "var": 3},
+        "3": {"type": "normal", "mean": 5, "var": 10},
+    },
+    "copulas": {
+        "1": {"type": "gaussian",
+              "correlation": [[1, 0.5, 0.3], [0.5, 1, 0.4], [0.3, 0.4, 1]]},
+        "2": {"type": "gaussian", "rho": -0.3},
+        "root": {"type": "gaussian",
+                 "correlation": [[1, 0.6, 0.2], [0.6, 1, 0.1], [0.2, 0.1, 1]]},
+    },
+}
 
-def atoms_pair(track=True):
-    a1 = NodeAtoms.for_leaf((1,), X1, track_composition=track)
-    a2 = NodeAtoms.for_leaf((2,), X2, track_composition=track)
-    return [a1, a2]
+
+def atoms_pair():
+    return [NodeAtoms.for_leaf((1,), X1), NodeAtoms.for_leaf((2,), X2)]
 
 
 class TestRanks:
@@ -90,11 +113,6 @@ class TestReorderChildren:
         with pytest.raises(ValueError):
             reorder_children(atoms_pair(), np.array([[0.1, 0.2]] * 4))
 
-    def test_composition_tracking_optional(self):
-        out = reorder_children(atoms_pair(track=False), U)
-        assert out.composition is None
-        np.testing.assert_array_equal(out.sums, [13.0, 4.0, 2.0])
-
 
 class TestRunReordering:
     def test_shapes_and_marginal_preservation(self, four_leaf_model):
@@ -154,6 +172,22 @@ class TestRunReordering:
         model = AggregationTreeModel(tree, {"1": Normal(0, 1)}, {})
         with pytest.raises(Exception):
             run_reordering(model, 10, seed=0)
+
+
+@pytest.mark.parametrize("algorithm, n, digest", [
+    ("reorder", 2000,
+     "714ebfeaebdb247ba4f1491637a7aabc8ba9e547db67c0ed5609010dddc47293"),
+    ("mra", 12,
+     "d19c3ee7edf27980c6dd722a60c3ff0dc710c28b2a9e6d2cf3b5a4438d54248e"),
+])
+def test_six_leaf_ternary_output_is_frozen(algorithm, n, digest, config_file,
+                                           tmp_path):
+    # sample CSVs are byte-identical across refactors of the samplers
+    out = tmp_path / "draws.csv"
+    rc = main(["sample", config_file(SIX_LEAF_NORMAL_CONFIG), "--algorithm",
+               algorithm, "--n", str(n), "--seed", "42", "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEmpiricalJointCdf:
