@@ -52,7 +52,6 @@ from .mra import (
 )
 from .reorder import (
     NodeAtoms,
-    empirical_joint_cdf,
     ranks,
     reorder_children,
     run_reordering,
@@ -99,7 +98,6 @@ __all__ = [
     "conditional_independence_gap",
     "copula_correlation",
     "ellipse_parameters",
-    "empirical_joint_cdf",
     "empirical_joint_pmf",
     "extremal_correlation",
     "henze_zirkler",

@@ -189,6 +189,8 @@ def _load_config(path):
 
 def _need(value, flag, name):
     if flag is not None:
+        if flag < 0:
+            raise ConfigError(f"--{name} must be a nonnegative integer, got {flag!r}")
         return int(flag)
     if value is None:
         raise ConfigError(f"{name} must be set in the config or by flag")
@@ -216,6 +218,8 @@ def cmd_sample(args):
     model, seed, n = model_from_config(cfg)
     seed = _need(seed, args.seed, "seed")
     n = _need(n, args.n, "n")
+    if not 0.0 <= args.budget < math.inf:
+        raise ConfigError(f"--budget must be finite and >= 0, got {args.budget!r}")
     if args.algorithm == "mra":
         out = run_mra(model, n, seed, budget=args.budget)
         block, leaf_order = out.realizations, out.leaf_order
@@ -233,23 +237,25 @@ def cmd_treedep(args):
     model, _, _ = model_from_config(cfg)
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
-    rows = [
-        [label, law.mean[i]] + list(law.covariance[i])
-        for i, label in enumerate(labels)
-    ]
     with _open_out(args.out) as handle:
-        _write_csv(handle, ["leaf", "mean"] + labels, rows)
+        _write_matrix(handle, labels, law.covariance, law.mean)
     return 0
 
 
+def _interval_row(s1, s2, s3, r12, r0):
+    iv = three_leaf_corr_interval(s1, s2, s3, r12, r0)
+    return [s1, s2, s3, r12, r0, iv.min, iv.mid, iv.half_length, iv.max,
+            iv.tree_dep, iv.degenerate], iv
+
+
+_BOUNDS_HEADER = ["sigma1", "sigma2", "sigma3", "rho12", "rho_root",
+                  "min", "mid", "half_length", "max", "tree_dep", "degenerate"]
+
+
 def cmd_bounds3(args):
-    interval = three_leaf_corr_interval(args.sigma1, args.sigma2, args.sigma3,
-                                        args.rho12, args.rho_root)
-    header = ["sigma1", "sigma2", "sigma3", "rho12", "rho_root",
-              "min", "mid", "half_length", "max", "tree_dep", "degenerate"]
-    row = [args.sigma1, args.sigma2, args.sigma3, args.rho12, args.rho_root,
-           interval.min, interval.mid, interval.half_length, interval.max,
-           interval.tree_dep, interval.degenerate]
+    header = list(_BOUNDS_HEADER)
+    row, _ = _interval_row(args.sigma1, args.sigma2, args.sigma3,
+                           args.rho12, args.rho_root)
     if args.rho13 is not None:
         cov = three_leaf_covariance(args.sigma1, args.sigma2, args.sigma3,
                                     args.rho12, args.rho_root, args.rho13)
@@ -347,7 +353,7 @@ def _summary(out_dir, lines):
     sys.stdout.write(text)
 
 
-def _write_matrix(path, labels, matrix, means=None):
+def _write_matrix(handle, labels, matrix, means=None):
     rows = []
     for i, label in enumerate(labels):
         row = [label]
@@ -356,8 +362,7 @@ def _write_matrix(path, labels, matrix, means=None):
         row.extend(matrix[i])
         rows.append(row)
     header = ["leaf"] + (["mean"] if means is not None else []) + list(labels)
-    with open(path, "w", newline="") as handle:
-        _write_csv(handle, header, rows)
+    _write_csv(handle, header, rows)
 
 
 def _preset_four_leaf(out_dir, n, seed, _grid):
@@ -366,11 +371,13 @@ def _preset_four_leaf(out_dir, n, seed, _grid):
     model = _four_leaf_model()
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
-    _write_matrix(Path(out_dir) / "treedep.csv", labels, law.covariance, law.mean)
+    with open(Path(out_dir) / "treedep.csv", "w", newline="") as handle:
+        _write_matrix(handle, labels, law.covariance, law.mean)
 
     atoms = run_reordering(model, n, seed)[ROOT]
     mean, cov = sample_mean_cov(atoms.composition)
-    _write_matrix(Path(out_dir) / "sample_cov.csv", labels, cov, mean)
+    with open(Path(out_dir) / "sample_cov.csv", "w", newline="") as handle:
+        _write_matrix(handle, labels, cov, mean)
 
     sub = min(10**4, n)
     pick = node_stream(seed, "subsample").choice(n, size=sub, replace=False)
@@ -394,23 +401,14 @@ def _preset_regroup(out_dir, _n, _seed, _grid):
         perm = display[name]
         cov = law.covariance[np.ix_(perm, perm)]
         covs[name] = cov
-        _write_matrix(Path(out_dir) / f"{name}_grouping.csv", labels, cov)
+        with open(Path(out_dir) / f"{name}_grouping.csv", "w", newline="") as handle:
+            _write_matrix(handle, labels, cov)
     diff = float(np.max(np.abs(covs["first"] - covs["second"])))
     _summary(out_dir, [
         ("max_abs_difference", diff),
         ("covariances_equal", diff == 0.0),
     ])
     return 0
-
-
-def _interval_row(s1, s2, s3, r12, r0):
-    iv = three_leaf_corr_interval(s1, s2, s3, r12, r0)
-    return [s1, s2, s3, r12, r0, iv.min, iv.mid, iv.half_length, iv.max,
-            iv.tree_dep, iv.degenerate], iv
-
-
-_BOUNDS_HEADER = ["sigma1", "sigma2", "sigma3", "rho12", "rho_root",
-                  "min", "mid", "half_length", "max", "tree_dep", "degenerate"]
 
 
 def _preset_scale_limits(out_dir, _n, _seed, _grid):
@@ -585,7 +583,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=float, default=10**8,
-                   help="most leaf values the mra algorithm may draw")
+                   help="most leaf values mra may draw; finite and >= 0")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

@@ -1,4 +1,13 @@
 """Exception types shared across the package."""
+import sys
+from decimal import Decimal
+
+
+def _approx(count):
+    """``count`` to 3 significant digits, also an int beyond float range."""
+    if abs(count) > sys.float_info.max:
+        count = Decimal(count).normalize()
+    return f"{count:.3g}"
 
 
 class AggTreeError(Exception):
@@ -20,7 +29,8 @@ class GenerationBudgetError(AggTreeError):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"estimated generation count {estimate:.3g} exceeds budget {budget:.3g}"
+            f"estimated generation count {_approx(estimate)} exceeds budget "
+            f"{_approx(budget)}"
         )
 
 

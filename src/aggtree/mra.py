@@ -12,10 +12,12 @@ budget.
 Also provides the exact tree-dependent pmf for discrete models on binary
 trees, the validation target for the sampler.
 """
+import math
+
 import numpy as np
 
 from ._rng import node_stream
-from .distributions import Discrete, bivariate_gaussian_copula_cdf
+from .distributions import Discrete, bivariate_gaussian_copula_cdf, copula_correlation
 from .errors import GenerationBudgetError, SupportSizeError, UnsupportedModelError
 from .reorder import _reorder, _reorder_atoms
 from .tree import node_label
@@ -100,15 +102,18 @@ def run_mra(model, n, seed, budget=10**8):
 
     A leaf below d branching nodes draws n**(d + 1) values. Refuses to run,
     before drawing anything, when the sum of these counts over all leaves
-    exceeds ``budget``; the error carries that count as ``estimate``. Rows
-    are built in chunks of about ``_CHUNK_ELEMS`` deepest-level draws; the
-    chunking does not change the output.
+    exceeds ``budget``, which must be finite and >= 0; the error carries
+    that count, an exact int, as ``estimate``. Rows are built in chunks of
+    about ``_CHUNK_ELEMS`` deepest-level draws; the chunking does not change
+    the output.
     """
     model.require_valid()
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
     leaves = model.tree.leaves()
-    estimate = float(sum(n ** (len(leaf) + 1) for leaf in leaves))
+    estimate = sum(int(n) ** (len(leaf) + 1) for leaf in leaves)
     if estimate > budget:
         raise GenerationBudgetError(estimate, budget)
 
@@ -174,12 +179,7 @@ def tv_distance(p, q):
 
 
 def _node_rho(copula, node):
-    corr = getattr(copula, "correlation", None)
-    if corr is None:
-        raise UnsupportedModelError(
-            f"copula at {node_label(node)} is not usable for the exact pmf"
-        )
-    corr = np.asarray(corr, dtype=float)
+    corr = copula_correlation(copula)
     if corr.shape != (2, 2):
         raise UnsupportedModelError(
             f"exact pmf needs bivariate copulas, node {node_label(node)} has "
@@ -190,13 +190,8 @@ def _node_rho(copula, node):
 
 def _rectangles(rho, cdf_a, cdf_b):
     """Joint cell probabilities for two sums coupled by a Gaussian copula."""
-    na, nb = len(cdf_a), len(cdf_b)
-    grid = np.empty((na + 1, nb + 1))
-    grid[0, :] = 0.0
-    grid[:, 0] = 0.0
-    for i in range(1, na + 1):
-        for j in range(1, nb + 1):
-            grid[i, j] = bivariate_gaussian_copula_cdf(rho, cdf_a[i - 1], cdf_b[j - 1])
+    grid = np.zeros((len(cdf_a) + 1, len(cdf_b) + 1))
+    grid[1:, 1:] = bivariate_gaussian_copula_cdf(rho, cdf_a[:, None], cdf_b[None, :])
     cells = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
     return np.clip(cells, 0.0, None)
 

@@ -20,7 +20,6 @@ __all__ = [
     "ranks",
     "reorder_children",
     "run_reordering",
-    "empirical_joint_cdf",
 ]
 
 
@@ -163,9 +162,3 @@ def run_reordering(model, n, seed):
         atoms[node] = reorder_children([atoms[c] for c in tree.children(node)], u)
     return atoms
 
-
-def empirical_joint_cdf(points, x):
-    """Fraction of rows of ``points`` that are componentwise <= x."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.asarray(x, dtype=float)
-    return float(np.mean(np.all(pts <= x, axis=1)))

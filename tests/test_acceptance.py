@@ -36,7 +36,6 @@ from aggtree import (
     extremal_correlation,
     henze_zirkler,
     psd_feasible,
-    ranks,
     reorder_children,
     reorder_fixed_first,
     run_mra,

@@ -136,6 +136,15 @@ class TestConfigFields:
         assert len(read_csv(out)[1]) == 50
 
 
+    @pytest.mark.parametrize("flag", ["--seed", "--n"])
+    def test_negative_flag_exits_2(self, flag, four_leaf_config, config_file,
+                                   capsys):
+        rc = main(["sample", config_file(four_leaf_config), flag, "-1"])
+        assert rc == 2
+        assert f"{flag} must be a nonnegative integer, got -1" in (
+            capsys.readouterr().err)
+
+
 class TestSample:
     def test_reorder_output_shape_and_header(self, four_leaf_config,
                                              config_file, tmp_path):
@@ -201,6 +210,23 @@ class TestSample:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "exceeds budget" in err
+
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_mra_bad_budget_exits_2(self, budget, four_leaf_config,
+                                    config_file, capsys):
+        rc = main(["sample", config_file(four_leaf_config), "--algorithm",
+                   "mra", "--n", "3", "--budget", budget])
+        assert rc == 2
+        assert "--budget must be finite and >= 0" in capsys.readouterr().err
+
+    def test_mra_huge_n_exits_3(self, four_leaf_config, config_file, capsys):
+        rc = main(["sample", config_file(four_leaf_config), "--algorithm",
+                   "mra", "--n", str(10**400)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimated generation count 4e+1200")
         assert "exceeds budget" in err
 
 

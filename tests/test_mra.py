@@ -154,6 +154,20 @@ class TestRunMra:
         # explicit budget raise lets the same call through
         run_mra(model, 120, seed=0, budget=10**8)
 
+    def test_budget_must_be_finite_and_nonnegative(self):
+        model = bernoulli3()
+        for budget in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="budget must be finite"):
+                run_mra(model, 3, seed=0, budget=budget)
+
+    def test_huge_n_exceeds_budget_exactly(self):
+        n = 10**400
+        with pytest.raises(GenerationBudgetError) as exc:
+            run_mra(bernoulli3(), n, seed=0)
+        assert exc.value.estimate == 2 * n**3 + n**2
+        assert "estimated generation count 2e+1200 exceeds budget 1e+08" in str(
+            exc.value)
+
     def test_iid_halves_close_in_tv(self):
         model = bernoulli3()
         x = np.vstack([run_mra(model, 150, seed=s).realizations

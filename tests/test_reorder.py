@@ -11,7 +11,6 @@ from aggtree import (
     NodeAtoms,
     ROOT,
     RootedTree,
-    empirical_joint_cdf,
     ranks,
     reorder_children,
     run_reordering,
@@ -189,15 +188,3 @@ def test_six_leaf_ternary_output_is_frozen(algorithm, n, digest, config_file,
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-
-class TestEmpiricalJointCdf:
-    def test_worked_atoms(self):
-        pts = np.array([[4.0, 9.0], [1.0, 3.0], [2.0, 0.0]])
-        assert empirical_joint_cdf(pts, [2.0, 3.0]) == pytest.approx(2.0 / 3.0)
-        assert empirical_joint_cdf(pts, [np.inf, np.inf]) == pytest.approx(1.0)
-        assert empirical_joint_cdf(pts, [0.0, 0.0]) == pytest.approx(0.0)
-        assert empirical_joint_cdf(pts, [1.0, 3.0]) == pytest.approx(1.0 / 3.0)
-
-    def test_univariate(self):
-        pts = np.array([[1.0], [2.0], [3.0]])
-        assert empirical_joint_cdf(pts, [2.0]) == pytest.approx(2.0 / 3.0)
