@@ -224,6 +224,10 @@ def cmd_sample(args):
         out = run_mra(model, n, seed, budget=args.budget)
         block, leaf_order = out.realizations, out.leaf_order
     else:
+        # reorder draws n values per leaf; bound them before the first draw
+        draws = n * len(model.tree.leaves())
+        if draws > args.budget:
+            raise GenerationBudgetError(draws, args.budget)
         atoms = run_reordering(model, n, seed)[ROOT]
         block, leaf_order = atoms.composition, atoms.leaf_order
     header = [node_label(leaf) for leaf in leaf_order]
@@ -381,7 +385,7 @@ def _preset_four_leaf(out_dir, n, seed, _grid):
 
     sub = min(10**4, n)
     pick = node_stream(seed, "subsample").choice(n, size=sub, replace=False)
-    hz = henze_zirkler(atoms.composition[pick], seed=seed)
+    hz = henze_zirkler(atoms.composition[pick])
     _summary(out_dir, [
         ("n", n),
         ("seed", seed),
@@ -583,7 +587,8 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=float, default=10**8,
-                   help="most leaf values mra may draw; finite and >= 0")
+                   help="most leaf values the sampler may draw (reorder: n per "
+                   "leaf; mra: n**(depth+1) per leaf); finite and >= 0")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

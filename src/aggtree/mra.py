@@ -2,12 +2,12 @@
 
 The plain reordering of :mod:`aggtree.reorder` produces the right
 aggregate law but dependent rows. Here every output row of a branching
-node gets its own reordering of n fresh rows of each child, done by the
-same kernel, :func:`aggtree.reorder._reorder`, with the first child
-pinned: atom k keeps child 1's row k. Row t keeps atom t mod n of its
-set, which makes the kept rows independent. The cost grows by a factor
-of n per branching level, so runs are gated by an explicit generation
-budget.
+node gets its own fixed-first reordering of n fresh rows of each child:
+the plain one with its atoms permuted so that atom k holds child 1's row
+k. Row t keeps atom t mod n of its set, which makes the kept rows
+independent, and only that atom is built, from stable ranks counted in
+O(n). The cost grows by a factor of n per branching level, so runs are
+gated by an explicit generation budget.
 
 Also provides the exact tree-dependent pmf for discrete models on binary
 trees, the validation target for the sampler.
@@ -19,7 +19,7 @@ import numpy as np
 from ._rng import node_stream
 from .distributions import Discrete, bivariate_gaussian_copula_cdf, copula_correlation
 from .errors import GenerationBudgetError, SupportSizeError, UnsupportedModelError
-from .reorder import _reorder, _reorder_atoms
+from .reorder import NodeAtoms, reorder_children
 from .tree import node_label
 
 __all__ = [
@@ -39,12 +39,53 @@ _CHUNK_ELEMS = 2 * 10**7
 
 def reorder_fixed_first(child_atoms, copula_samples):
     """Reorder like :func:`aggtree.reorder.reorder_children`, then permute
-    the atoms so atom k's first component is child 1's sample k unchanged.
-
-    The atom multiset is identical to the plain reordering's; only the
-    order of atoms differs.
+    the atoms so atom k's first component is child 1's sample k unchanged:
+    child 1's row of stable rank j sits in the plain atom whose copula
+    sample has stable rank j in column 1.
     """
-    return _reorder_atoms(child_atoms, copula_samples, pin_first=True)
+    plain = reorder_children(child_atoms, copula_samples)
+    u1 = np.asarray(copula_samples, dtype=float)[:, 0]
+    perm = np.empty(plain.n, dtype=np.intp)
+    perm[np.argsort(child_atoms[0].sums, kind="stable")] = np.argsort(u1, kind="stable")
+    return NodeAtoms(plain.node, plain.sums[perm], plain.components[perm],
+                     plain.composition[perm], plain.leaf_order)
+
+
+def _stable_rank(block, k):
+    """0-based stable rank of ``block[t, k[t]]`` within row t, by counting."""
+    x = block[np.arange(block.shape[0]), k][:, None]
+    before = np.arange(block.shape[1]) < k[:, None]
+    return (np.count_nonzero(block < x, axis=1)
+            + np.count_nonzero((block == x) & before, axis=1))
+
+
+def _of_stable_rank(block, j):
+    """Column of the entry of 0-based stable rank ``j[t]`` in row t: in row
+    order, the c-th (0-based) entry equal to the row's j-th smallest value
+    x, where c = j - #{entries < x}.
+    """
+    x = np.sort(block, axis=1)[np.arange(block.shape[0]), j][:, None]
+    c = j - np.count_nonzero(block < x, axis=1)
+    return np.argmax(np.cumsum(block == x, axis=1) > c[:, None], axis=1)
+
+
+def _kept_atoms(sums, comps, u, k):
+    """Atom ``k[t]`` of the fixed-first reordering of set t, for every t.
+
+    sums are the children's (r, n) blocks, comps their (r, n, M_i)
+    compositions and u the (r, n, m) copula block. The atom holds child
+    1's row k and belongs to the copula row a whose stable rank in column
+    1 equals that row's; child i >= 2 adds its row whose stable rank
+    equals that of u[a, i]. Returns the (r,) sums, added in child order,
+    and the (r, sum M_i) composition.
+    """
+    a = _of_stable_rank(u[:, :, 0], _stable_rank(sums[0], k))
+    picks = [k] + [_of_stable_rank(s, _stable_rank(u[:, :, i], a))
+                   for i, s in enumerate(sums[1:], 1)]
+    t = np.arange(len(k))
+    parts = [s[t, p] for s, p in zip(sums, picks)]
+    comp = np.concatenate([c[t, p] for c, p in zip(comps, picks)], axis=1)
+    return sum(parts[1:], parts[0]), comp
 
 
 def _iid_rows(model, streams, node, rows, n, start=0):
@@ -62,15 +103,12 @@ def _iid_rows(model, streams, node, rows, n, start=0):
     children = tree.children(node)
     kids = [_iid_rows(model, streams, child, rows * n, n) for child in children]
     u = model.copulas[node].sample(rows * n, streams("copula", node))
-    sums, _, comp = _reorder(
+    return _kept_atoms(
         [s.reshape(rows, n) for s, _ in kids],
         [c.reshape(rows, n, -1) for _, c in kids],
         u.reshape(rows, n, len(children)),
-        pin_first=True,
+        (start + np.arange(rows)) % n,
     )
-    t = np.arange(rows)
-    k = (start + t) % n
-    return sums[t, k], comp[t, k]
 
 
 class MraOutput:

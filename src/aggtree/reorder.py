@@ -7,8 +7,8 @@ Mainik 2012), and the paired rows are summed. Full leaf composition is
 carried along so the joint leaf vector behind every node sum stays
 recoverable.
 
-One batched kernel, :func:`_reorder`, does the re-pairing for both the
-plain reordering here and the fixed-first variant of :mod:`aggtree.mra`.
+:func:`reorder_children` holds the one re-pairing kernel; the fixed-first
+variant in :mod:`aggtree.mra` permutes its atoms.
 """
 import numpy as np
 
@@ -36,45 +36,6 @@ def ranks(values):
     out = np.empty(values.size, dtype=np.int64)
     out[order] = np.arange(1, values.size + 1)
     return out
-
-
-def _reorder(child_sums, child_comps, u, pin_first):
-    """Re-pair children rows by copula ranks, independently along axis 0.
-
-    child_sums are (r, n) blocks, child_comps (r, n, M_i), u is (r, n, m)
-    with one column per child. Atom k takes from child i the order
-    statistic whose stable rank equals the stable rank of u[:, k, i]. With
-    ``pin_first`` the atoms are then re-ordered so that atom k holds child
-    1's row k; the atom multiset is unchanged.
-
-    Returns the parent sums (r, n), the per-child parts (a list of (r, n)
-    blocks) and the composition (r, n, sum M_i). Sums add the parts in
-    child order.
-    """
-    r, n = child_sums[0].shape
-    comp = np.empty((r, n, sum(c.shape[2] for c in child_comps)))
-    parts = []
-    col = 0
-    # child by child, so that one child's index arrays are alive at a time:
-    # they are (r, n) each and set the peak memory of run_mra
-    for i, (s, c) in enumerate(zip(child_sums, child_comps)):
-        o_u = np.argsort(u[:, :, i], axis=1, kind="stable")
-        o_s = np.argsort(s, axis=1, kind="stable")
-        pick = np.empty_like(o_s)
-        np.put_along_axis(pick, o_u, o_s, axis=1)
-        if pin_first:
-            # in the plain pairing, child 1's row o_s1[j] sits in atom
-            # o_u1[j]; moving that atom to row o_s1[j] pins child 1
-            if i == 0:
-                o_u1, o_s1 = o_u, o_s
-            np.put_along_axis(pick, o_s1, np.take_along_axis(pick, o_u1, axis=1), axis=1)
-        parts.append(np.take_along_axis(s, pick, axis=1))
-        comp[:, :, col:col + c.shape[2]] = np.take_along_axis(c, pick[:, :, None], axis=1)
-        col += c.shape[2]
-    sums = parts[0].copy()
-    for p in parts[1:]:
-        sums += p
-    return sums, parts, comp
 
 
 class NodeAtoms:
@@ -108,8 +69,13 @@ class NodeAtoms:
         return f"NodeAtoms({node_label(self.node)}, n={self.n})"
 
 
-def _reorder_atoms(child_atoms, copula_samples, pin_first):
-    """:func:`_reorder` on one set of children, as the parent's NodeAtoms."""
+def reorder_children(child_atoms, copula_samples):
+    """Pair children order statistics by copula ranks and sum them.
+
+    Atom k's component i is the order statistic of child i's sums whose
+    stable rank equals the stable rank of copula sample k in column i.
+    Sums add the components in child order.
+    """
     u = np.asarray(copula_samples, dtype=float)
     if not child_atoms:
         raise ValueError("need at least one child")
@@ -121,25 +87,19 @@ def _reorder_atoms(child_atoms, copula_samples, pin_first):
             f"copula sample block must have shape {(n, len(child_atoms))}, "
             f"got {u.shape}"
         )
-    sums, parts, comp = _reorder(
-        [c.sums[None, :] for c in child_atoms],
-        [c.composition[None, :, :] for c in child_atoms],
-        u[None, :, :],
-        pin_first,
-    )
+    parts = np.empty((n, len(child_atoms)))
+    comp = np.empty((n, sum(c.composition.shape[1] for c in child_atoms)))
+    col = 0
+    for i, child in enumerate(child_atoms):
+        pick = np.empty(n, dtype=np.intp)
+        pick[np.argsort(u[:, i], kind="stable")] = np.argsort(child.sums, kind="stable")
+        parts[:, i] = child.sums[pick]
+        width = child.composition.shape[1]
+        comp[:, col:col + width] = child.composition[pick]
+        col += width
     leaf_order = tuple(x for child in child_atoms for x in child.leaf_order)
-    parent = child_atoms[0].node[:-1]
-    return NodeAtoms(parent, sums[0], np.column_stack([p[0] for p in parts]),
-                     comp[0], leaf_order)
-
-
-def reorder_children(child_atoms, copula_samples):
-    """Pair children order statistics by copula ranks and sum them.
-
-    Atom k's component i is the order statistic of child i's sums whose
-    rank equals the rank of copula sample k in column i.
-    """
-    return _reorder_atoms(child_atoms, copula_samples, pin_first=False)
+    return NodeAtoms(child_atoms[0].node[:-1], sum(parts.T[1:], parts[:, 0]),
+                     parts, comp, leaf_order)
 
 
 def run_reordering(model, n, seed):

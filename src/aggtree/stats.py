@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from ._rng import node_stream, standard_normals
+from ._rng import node_stream
 
 __all__ = [
     "Ecdf",
@@ -99,49 +99,40 @@ def _hz_statistic(x):
     return statistic, beta
 
 
-def henze_zirkler(block, mc_replicates=500, seed=0):
-    """Henze-Zirkler multivariate normality test.
+def henze_zirkler(block):
+    """Henze-Zirkler multivariate normality test, in up to 8 dimensions.
 
-    The p-value uses the test's lognormal null approximation up to
-    dimension 8; beyond that the null is simulated with ``mc_replicates``
-    seeded standard normal blocks of the same shape, which costs a pair
-    sum per replicate.
+    The p-value uses the test's lognormal null approximation.
     """
     x = np.asarray(block, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] < 3:
         raise ValueError("need at least three rows")
+    d = x.shape[1]
+    if d > 8:
+        raise ValueError(f"the lognormal null covers up to 8 dimensions, got {d}")
     statistic, beta = _hz_statistic(x)
-    n, d = x.shape
-    if d <= 8:
-        b2 = beta**2
-        a = 1.0 + 2.0 * b2
-        wb = (1.0 + b2) * (1.0 + 3.0 * b2)
-        mu = 1.0 - a ** (-d / 2.0) * (
-            1.0 + d * b2 / a + d * (d + 2) * b2**2 / (2.0 * a**2)
+    b2 = beta**2
+    a = 1.0 + 2.0 * b2
+    wb = (1.0 + b2) * (1.0 + 3.0 * b2)
+    mu = 1.0 - a ** (-d / 2.0) * (
+        1.0 + d * b2 / a + d * (d + 2) * b2**2 / (2.0 * a**2)
+    )
+    var = (
+        2.0 * (1.0 + 4.0 * b2) ** (-d / 2.0)
+        + 2.0 * a ** (-d) * (
+            1.0 + 2.0 * d * b2**2 / a**2
+            + 3.0 * d * (d + 2) * b2**4 / (4.0 * a**4)
         )
-        var = (
-            2.0 * (1.0 + 4.0 * b2) ** (-d / 2.0)
-            + 2.0 * a ** (-d) * (
-                1.0 + 2.0 * d * b2**2 / a**2
-                + 3.0 * d * (d + 2) * b2**4 / (4.0 * a**4)
-            )
-            - 4.0 * wb ** (-d / 2.0) * (
-                1.0 + 3.0 * d * b2**2 / (2.0 * wb)
-                + d * (d + 2) * b2**4 / (2.0 * wb**2)
-            )
+        - 4.0 * wb ** (-d / 2.0) * (
+            1.0 + 3.0 * d * b2**2 / (2.0 * wb)
+            + d * (d + 2) * b2**4 / (2.0 * wb**2)
         )
-        log_mu = math.log(math.sqrt(mu**4 / (var + mu**2)))
-        log_sd = math.sqrt(math.log((var + mu**2) / mu**2))
-        p = float(1.0 - ndtr((math.log(statistic) - log_mu) / log_sd))
-    else:
-        rng = node_stream(seed, "null")
-        exceed = 0
-        for _ in range(mc_replicates):
-            null_stat, _ = _hz_statistic(standard_normals(rng, (n, d)))
-            exceed += null_stat >= statistic
-        p = (exceed + 1) / (mc_replicates + 1)
+    )
+    log_mu = math.log(math.sqrt(mu**4 / (var + mu**2)))
+    log_sd = math.sqrt(math.log((var + mu**2) / mu**2))
+    p = float(1.0 - ndtr((math.log(statistic) - log_mu) / log_sd))
     return HzResult(float(statistic), float(p), float(beta))
 
 

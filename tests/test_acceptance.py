@@ -88,7 +88,7 @@ def four_leaf_runs():
         deviation = float(np.max(np.abs(cov - law.covariance)))
         pick = node_stream(seed, "subsample").choice(10**6, 10**4,
                                                      replace=False)
-        p_value = henze_zirkler(atoms.composition[pick], seed=seed).p_value
+        p_value = henze_zirkler(atoms.composition[pick]).p_value
         long_deviation = None
         if LONG_RUN:
             atoms = run_reordering(model, 10**7, seed)[ROOT]

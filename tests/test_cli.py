@@ -229,6 +229,24 @@ class TestSample:
         assert err.startswith("error: estimated generation count 4e+1200")
         assert "exceeds budget" in err
 
+    @pytest.mark.parametrize("n, draws", [(10**11, "4e+11"),
+                                          (10**400, "4e+400")],
+                             ids=["1e11", "1e400"])
+    def test_reorder_huge_n_exits_3(self, n, draws, four_leaf_config,
+                                    config_file, capsys):
+        rc = main(["sample", config_file(four_leaf_config), "--n", str(n)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: estimated generation count {draws} exceeds budget 1e+08\n")
+
+    def test_reorder_budget_counts_leaf_draws(self, four_leaf_config,
+                                              config_file, tmp_path):
+        # four leaves at n=50 draw 200 values
+        args = ["sample", config_file(four_leaf_config), "--n", "50",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(args + ["--budget", "199"]) == 3
+        assert main(args + ["--budget", "200"]) == 0
+
 
 class TestTreedep:
     def test_csv_matches_exact_law(self, four_leaf_config, config_file,

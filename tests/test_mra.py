@@ -25,6 +25,7 @@ from aggtree import (
     tv_distance,
 )
 from aggtree.errors import UnsupportedModelError
+from aggtree.mra import _kept_atoms
 
 X1 = np.array([1.0, 4.0, 2.0])
 X2 = np.array([9.0, 0.0, 3.0])
@@ -89,6 +90,29 @@ class TestReorderFixedFirst:
             [NodeAtoms.for_leaf((1,), np.array([5.0])),
              NodeAtoms.for_leaf((2,), np.array([7.0]))], u)
         np.testing.assert_array_equal(plain.components, fixed.components)
+
+
+class TestKeptAtoms:
+    def test_matches_fixed_first_atoms_on_ties(self):
+        # MRA builds only the atom it keeps: with k = 0..n-1 over n copies
+        # of one set, that is every atom of reorder_fixed_first on the set
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(2, 41))
+            m = int(rng.integers(2, 5))
+            comps = [rng.integers(0, 3, size=(n, int(rng.integers(1, 3))))
+                     .astype(float) for _ in range(m)]
+            u = rng.integers(0, 5, size=(n, m)) / 5.0
+            kids = [NodeAtoms((i + 1,), c.sum(axis=1), None, c,
+                              tuple((i + 1, j + 1) for j in range(c.shape[1])))
+                    for i, c in enumerate(comps)]
+            want = reorder_fixed_first(kids, u)
+            sums, comp = _kept_atoms(
+                [np.tile(kid.sums, (n, 1)) for kid in kids],
+                [np.tile(c, (n, 1, 1)) for c in comps],
+                np.tile(u, (n, 1, 1)), np.arange(n))
+            assert np.array_equal(sums, want.sums)
+            assert np.array_equal(comp, want.composition)
 
 
 class TestRunMra:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggtree
 from aggtree import (
     AggregationTreeModel,
     GaussianCopula,
@@ -17,6 +22,8 @@ from aggtree import (
     tree_dependent_law,
 )
 from aggtree.cli import main
+
+MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 
 # worked three-sample instance used throughout: two leaves under the root
 X1 = np.array([1.0, 4.0, 2.0])
@@ -178,13 +185,44 @@ class TestRunReordering:
      "714ebfeaebdb247ba4f1491637a7aabc8ba9e547db67c0ed5609010dddc47293"),
     ("mra", 12,
      "d19c3ee7edf27980c6dd722a60c3ff0dc710c28b2a9e6d2cf3b5a4438d54248e"),
+    # ":discrete" runs the same tree with the discrete leaves of
+    # six_leaf_discrete.json, whose child sums and copula ranks tie
+    ("mra:discrete", 12,
+     "76456b99a0b15f3e408eb78922332a41bc777c7bdba419072cd128d104ed8a31"),
 ])
 def test_six_leaf_ternary_output_is_frozen(algorithm, n, digest, config_file,
                                            tmp_path):
     # sample CSVs are byte-identical across refactors of the samplers
+    algorithm, _, discrete = algorithm.partition(":")
+    config = (str(MODELS / "six_leaf_discrete.json") if discrete
+              else config_file(SIX_LEAF_NORMAL_CONFIG))
     out = tmp_path / "draws.csv"
-    rc = main(["sample", config_file(SIX_LEAF_NORMAL_CONFIG), "--algorithm",
-               algorithm, "--n", str(n), "--seed", "42", "--out", str(out)])
+    rc = main(["sample", config, "--algorithm", algorithm, "--n", str(n),
+               "--seed", "42", "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# numpy dispatches no kernel of the SIMD targets listed in this variable;
+# names it does not know, or that the CPU lacks, are ignored
+NO_AVX512_NO_AVX2 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+@pytest.mark.parametrize("model", ["four_leaf_normal", "six_leaf_discrete"])
+@pytest.mark.parametrize("algorithm, n", [("reorder", 20000), ("mra", 30)])
+def test_output_does_not_depend_on_simd_dispatch(model, algorithm, n):
+    package_root = str(Path(aggtree.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def digest(extra):
+        out = subprocess.run(
+            [sys.executable, "-m", "aggtree.cli", "sample",
+             str(MODELS / f"{model}.json"), "--algorithm", algorithm,
+             "--n", str(n), "--seed", "42"],
+            env={**env, **extra}, capture_output=True, check=True)
+        return hashlib.sha256(out.stdout).hexdigest()
+
+    assert digest(NO_AVX512_NO_AVX2) == digest({})
 

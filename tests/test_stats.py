@@ -140,6 +140,12 @@ class TestHenzeZirkler:
         with pytest.raises(ValueError):
             henze_zirkler(x)
 
+    def test_more_than_eight_dimensions_rejected(self):
+        x = node_stream(4, "null").standard_normal((200, 9))
+        assert 0.0 <= henze_zirkler(x[:, :8]).p_value <= 1.0
+        with pytest.raises(ValueError, match="up to 8 dimensions, got 9"):
+            henze_zirkler(x)
+
     def test_beta_formula(self):
         n, d = 640, 3
         r = henze_zirkler(node_stream(2, "null").standard_normal((n, d)))
