@@ -42,6 +42,7 @@ from .stats import henze_zirkler, sample_mean_cov
 from .tree import ROOT, AggregationTreeModel, RootedTree, node_id, node_label
 
 __all__ = ["main", "model_from_config", "config_echo", "PRESETS"]
+_CSV_CHUNK_ROWS = 2**12  # bounds the string one % format builds
 
 
 class ConfigError(ValueError):
@@ -182,6 +183,13 @@ def _write_csv(handle, header, rows):
         handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
+def _write_block(handle, header, block):
+    handle.write(",".join(header) + "\n")
+    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    for chunk in np.split(block, range(_CSV_CHUNK_ROWS, len(block), _CSV_CHUNK_ROWS)):
+        handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def _load_config(path):
     with open(path) as handle:
         return json.load(handle)
@@ -195,6 +203,13 @@ def _need(value, flag, name):
     if value is None:
         raise ConfigError(f"{name} must be set in the config or by flag")
     return int(value)
+
+
+def _reorder_root(model, n, seed, budget=10**8):
+    draws = n * len(model.tree.leaves())  # reorder draws n values per leaf
+    if draws > budget:
+        raise GenerationBudgetError(draws, budget)
+    return run_reordering(model, n, seed)[ROOT]
 
 
 def cmd_validate(args):
@@ -224,15 +239,10 @@ def cmd_sample(args):
         out = run_mra(model, n, seed, budget=args.budget)
         block, leaf_order = out.realizations, out.leaf_order
     else:
-        # reorder draws n values per leaf; bound them before the first draw
-        draws = n * len(model.tree.leaves())
-        if draws > args.budget:
-            raise GenerationBudgetError(draws, args.budget)
-        atoms = run_reordering(model, n, seed)[ROOT]
+        atoms = _reorder_root(model, n, seed, args.budget)
         block, leaf_order = atoms.composition, atoms.leaf_order
-    header = [node_label(leaf) for leaf in leaf_order]
     with _open_out(args.out) as handle:
-        _write_csv(handle, header, block)
+        _write_block(handle, [node_label(leaf) for leaf in leaf_order], block)
     return 0
 
 
@@ -373,12 +383,12 @@ def _preset_four_leaf(out_dir, n, seed, _grid):
     n = 10**6 if n is None else n
     seed = 1234 if seed is None else seed
     model = _four_leaf_model()
+    atoms = _reorder_root(model, n, seed)
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
     with open(Path(out_dir) / "treedep.csv", "w", newline="") as handle:
         _write_matrix(handle, labels, law.covariance, law.mean)
 
-    atoms = run_reordering(model, n, seed)[ROOT]
     mean, cov = sample_mean_cov(atoms.composition)
     with open(Path(out_dir) / "sample_cov.csv", "w", newline="") as handle:
         _write_matrix(handle, labels, cov, mean)

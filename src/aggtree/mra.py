@@ -19,7 +19,7 @@ import numpy as np
 from ._rng import node_stream
 from .distributions import Discrete, bivariate_gaussian_copula_cdf, copula_correlation
 from .errors import GenerationBudgetError, SupportSizeError, UnsupportedModelError
-from .reorder import NodeAtoms, reorder_children
+from .reorder import NodeAtoms, reorder_children, stable_argsort
 from .tree import node_label
 
 __all__ = [
@@ -46,7 +46,7 @@ def reorder_fixed_first(child_atoms, copula_samples):
     plain = reorder_children(child_atoms, copula_samples)
     u1 = np.asarray(copula_samples, dtype=float)[:, 0]
     perm = np.empty(plain.n, dtype=np.intp)
-    perm[np.argsort(child_atoms[0].sums, kind="stable")] = np.argsort(u1, kind="stable")
+    perm[stable_argsort(child_atoms[0].sums)] = stable_argsort(u1)
     return NodeAtoms(plain.node, plain.sums[perm], plain.components[perm],
                      plain.composition[perm], plain.leaf_order)
 

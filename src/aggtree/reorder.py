@@ -7,8 +7,8 @@ Mainik 2012), and the paired rows are summed. Full leaf composition is
 carried along so the joint leaf vector behind every node sum stays
 recoverable.
 
-:func:`reorder_children` holds the one re-pairing kernel; the fixed-first
-variant in :mod:`aggtree.mra` permutes its atoms.
+:func:`reorder_children` is the one re-pairing kernel; its ranks come from
+:func:`stable_argsort`, so the output does not depend on SIMD dispatch.
 """
 import numpy as np
 
@@ -20,7 +20,15 @@ __all__ = [
     "ranks",
     "reorder_children",
     "run_reordering",
+    "stable_argsort",
 ]
+
+
+def stable_argsort(values):
+    """Stable argsort: quicksort's, kept when the sorted keys strictly increase."""
+    order = np.argsort(values)
+    keys = values[order]
+    return order if np.all(keys[1:] > keys[:-1]) else np.argsort(values, kind="stable")
 
 
 def ranks(values):
@@ -32,9 +40,8 @@ def ranks(values):
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
-    order = np.argsort(values, kind="stable")
     out = np.empty(values.size, dtype=np.int64)
-    out[order] = np.arange(1, values.size + 1)
+    out[stable_argsort(values)] = np.arange(1, values.size + 1)
     return out
 
 
@@ -92,7 +99,7 @@ def reorder_children(child_atoms, copula_samples):
     col = 0
     for i, child in enumerate(child_atoms):
         pick = np.empty(n, dtype=np.intp)
-        pick[np.argsort(u[:, i], kind="stable")] = np.argsort(child.sums, kind="stable")
+        pick[stable_argsort(u[:, i])] = stable_argsort(child.sums)
         parts[:, i] = child.sums[pick]
         width = child.composition.shape[1]
         comp[:, col:col + width] = child.composition[pick]

@@ -4,19 +4,25 @@ Everything runs in process through main(argv) so the tests see real exit
 codes and can capture stdout/stderr without spawning subprocesses.
 """
 
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggtree import (
     node_label,
     three_leaf_corr_interval,
     tree_dependent_law,
 )
+from aggtree import cli
 from aggtree.cli import PRESETS, main
+from conftest import FOUR_LEAF_CONFIG
 
 
 def read_csv(path):
@@ -248,6 +254,78 @@ class TestSample:
         assert main(args + ["--budget", "200"]) == 0
 
 
+def write_csv_per_cell(handle, header, rows):
+    """The per-cell writer ``sample`` used before the bulk encoder; the
+    byte reference for ``cli._write_block``."""
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        handle.write(",".join(f"{float(cell):.17g}" for cell in row) + "\n")
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+               2.2250738585072009e-308, -1e-310, 0.1, 1.0 / 3.0,
+               np.nextafter(1.0, 2.0), -1.2345678901234567e-300,
+               1.7976931348623157e308, 1e22, 123456789012345678.0, -2.5]
+
+
+@pytest.mark.parametrize("block", [
+    np.array(EDGE_FLOATS).reshape(4, 4),
+    np.array(EDGE_FLOATS)[:, None],
+    np.empty((0, 3)),
+    np.random.default_rng(0).standard_normal((cli._CSV_CHUNK_ROWS + 1, 2)),
+    np.random.default_rng(1).standard_normal((4, 3)).T,
+], ids=["edge-values", "one-column", "no-rows", "one-chunk-plus-one-row",
+        "transposed-view"])
+def test_write_block_matches_per_cell_writer(block):
+    header = [f"c{j}" for j in range(block.shape[1])]
+    fast, slow = io.StringIO(), io.StringIO()
+    cli._write_block(fast, header, block)
+    write_csv_per_cell(slow, header, block)
+    assert fast.getvalue() == slow.getvalue()
+
+
+# NaN, infinities and values outside a field's domain, next to valid ones
+BAD_FIELD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, -2.0, 1e308]
+
+
+@st.composite
+def four_leaf_configs(draw):
+    def field(lo, hi):
+        # one field in eight takes a bad value; about half the configs stay valid
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(BAD_FIELD_VALUES))
+        return draw(st.floats(lo, hi))
+
+    cfg = json.loads(json.dumps(FOUR_LEAF_CONFIG))
+    for spec in cfg["marginals"].values():
+        spec["mean"] = field(-10.0, 10.0)
+        spec["var"] = field(0.1, 10.0)
+    for spec in cfg["copulas"].values():
+        spec["rho"] = field(-1.0, 1.0)
+    cfg["n"] = draw(st.integers(2, 50))
+    return cfg
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(four_leaf_configs(), st.sampled_from(["reorder", "mra"]))
+def test_config_never_yields_non_finite_output(cfg, algorithm):
+    # each run either exits 2 or writes n rows of finite cells
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "model.json", Path(tmp) / "draws.csv"
+        config.write_text(json.dumps(cfg))
+        checked = main(["validate", str(config)])
+        rc = main(["sample", str(config), "--algorithm", algorithm,
+                   "--out", str(out)])
+        assert checked in (0, 2) and rc in (0, 2)
+        assert rc == 2 or checked == 0
+        if rc == 0:
+            cells = np.array(read_csv(out)[1], dtype=float)
+            assert cells.shape == (cfg["n"], 4)
+            assert np.isfinite(cells).all()
+        else:
+            assert not out.exists()
+
+
 class TestTreedep:
     def test_csv_matches_exact_law(self, four_leaf_config, config_file,
                                    four_leaf_model, tmp_path):
@@ -413,6 +491,19 @@ class TestExperimentPresets:
         assert summary["n"] == "2000"
         assert float(summary["max_abs_cov_deviation"]) < 1.5
         assert 0.0 <= float(summary["hz_p_value"]) <= 1.0
+
+    @pytest.mark.parametrize("n, draws", [(10**11, "4e+11"),
+                                          (10**400, "4e+400")],
+                             ids=["1e11", "1e400"])
+    def test_four_leaf_preset_bounds_leaf_draws(self, n, draws, tmp_path,
+                                                capsys):
+        out = tmp_path / "exp"
+        rc = main(["experiment", "exp-3.4", "--out-dir", str(out),
+                   "--n", str(n)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: estimated generation count {draws} exceeds budget 1e+08\n")
+        assert not any(out.iterdir())
 
     def test_regroup_preset(self, tmp_path, capsys):
         out = tmp_path / "exp"

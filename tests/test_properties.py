@@ -29,6 +29,7 @@ from aggtree import (
     three_leaf_covariance,
     tree_dependent_law,
 )
+from aggtree.reorder import stable_argsort
 
 SUITE = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -54,6 +55,18 @@ def test_ranks_are_stable_bijections(values):
     idx = np.arange(n)
     tied = (values[:, None] == values[None, :]) & (idx[:, None] < idx[None, :])
     assert np.all((r[:, None] < r[None, :])[tied])
+
+
+# few distinct keys, so ties, signed zeros, infinities and NaNs meet often
+KEY_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, math.inf, -math.inf, math.nan]
+
+
+@SUITE
+@given(st.lists(st.sampled_from(KEY_POOL) | st.floats(), max_size=40))
+def test_stable_argsort_equals_stable_sort(keys):
+    values = np.array(keys, dtype=float)
+    np.testing.assert_array_equal(stable_argsort(values),
+                                  np.argsort(values, kind="stable"))
 
 
 @st.composite

@@ -21,7 +21,9 @@ from aggtree import (
     run_reordering,
     tree_dependent_law,
 )
+from aggtree import reorder
 from aggtree.cli import main
+from aggtree.reorder import stable_argsort
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 
@@ -78,6 +80,41 @@ class TestRanks:
             ranks([])
         with pytest.raises(ValueError):
             ranks(np.zeros((2, 2)))
+
+
+class TestStableArgsort:
+    """Distinct keys keep the quicksort permutation; any tie re-sorts stably."""
+
+    def kinds_called(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def spy(values, *args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(values, *args, **kwargs)
+
+        monkeypatch.setattr(reorder.np, "argsort", spy)
+        return calls
+
+    def test_distinct_keys_take_quicksort(self, monkeypatch):
+        values = np.random.default_rng(0).standard_normal(1000)
+        expected = np.argsort(values, kind="stable")
+        calls = self.kinds_called(monkeypatch)
+        np.testing.assert_array_equal(stable_argsort(values), expected)
+        assert calls == [None]
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 3.0, 2.0],
+        [0.0, 1.0, -0.0],
+        [2.0, np.nan, 1.0],
+        [np.inf, 0.0, np.inf],
+    ], ids=["tie", "signed-zero", "nan", "inf-tie"])
+    def test_ties_take_stable_fallback(self, values, monkeypatch):
+        values = np.array(values)
+        expected = np.argsort(values, kind="stable")
+        calls = self.kinds_called(monkeypatch)
+        np.testing.assert_array_equal(stable_argsort(values), expected)
+        assert calls == [None, "stable"]
 
 
 class TestReorderChildren:
