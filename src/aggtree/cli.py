@@ -380,8 +380,10 @@ def _write_matrix(handle, labels, matrix, means=None):
 
 
 def _preset_four_leaf(out_dir, n, seed, _grid):
-    n = 10**6 if n is None else n
-    seed = 1234 if seed is None else seed
+    n = _need(10**6, n, "n")
+    seed = _need(1234, seed, "seed")
+    if n < 3:
+        raise ConfigError(f"--n must be >= 3 for exp-3.4, got {n}")
     model = _four_leaf_model()
     atoms = _reorder_root(model, n, seed)
     law = tree_dependent_law(model)

@@ -124,10 +124,6 @@ class GaussianTreeLaw:
     mean: np.ndarray
     covariance: np.ndarray
 
-    def total_law(self):
-        """Law of the overall sum across all leaves."""
-        return Normal(float(self.mean.sum()), float(self.covariance.sum()))
-
 
 def tree_dependent_law(model):
     """Exact joint leaf law of a Gaussian model under tree dependence."""

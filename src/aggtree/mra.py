@@ -10,7 +10,9 @@ O(n). The cost grows by a factor of n per branching level, so runs are
 gated by an explicit generation budget.
 
 Also provides the exact tree-dependent pmf for discrete models on binary
-trees, the validation target for the sampler.
+trees, the validation target for the sampler, built on arrays: a points
+matrix and a probs vector per node, glued at each branching node by one
+outer product masked by the nonzero copula rectangle cells.
 """
 import math
 
@@ -201,10 +203,14 @@ class DiscreteJointPmf:
         return f"DiscreteJointPmf({self.points.shape[0]} points, dim={self.dim})"
 
 
+def _snap(x):
+    """Round to 9 decimals, the one grid on which pmf points are compared."""
+    return np.round(x, _SNAP_DECIMALS)
+
+
 def empirical_joint_pmf(realizations):
     """Counting-measure pmf of the rows (snapped to 9 decimals)."""
-    rows = np.atleast_2d(np.asarray(realizations, dtype=float))
-    rows = np.round(rows, _SNAP_DECIMALS)
+    rows = _snap(np.atleast_2d(np.asarray(realizations, dtype=float)))
     points, counts = np.unique(rows, axis=0, return_counts=True)
     return DiscreteJointPmf(points, counts / rows.shape[0])
 
@@ -237,10 +243,11 @@ def _rectangles(rho, cdf_a, cdf_b):
 def tree_dependent_pmf(model, support_cap=10**5):
     """Exact joint pmf of the tree dependent leaf vector.
 
-    Requires all-discrete marginals and a binary tree. Built bottom-up:
-    children sum laws are coupled through the node copula's rectangle
-    probabilities, and leaf detail is glued back on with the conditional
-    independence factorization given the sums.
+    Requires all-discrete marginals and a binary tree. Built bottom-up, with
+    ``points`` (K, leaves below) and ``probs`` (K,) per node: a pair of child
+    rows gets the mass of its sums' copula rectangle cell, split by
+    conditional independence given the sums. The exact count of pairs in
+    nonzero cells is checked against ``support_cap`` before any is built.
     """
     model.require_valid()
     tree = model.tree
@@ -257,50 +264,23 @@ def tree_dependent_pmf(model, support_cap=10**5):
                 f"{tree.arity(node)} children"
             )
 
-    def snap(x):
-        return round(float(x), _SNAP_DECIMALS)
-
-    # state per node: {sum value: {leaf vector: joint probability}}
     def build(node):
         if tree.arity(node) == 0:
             spec = model.marginals[node]
-            return {
-                snap(v): {(snap(v),): float(p)}
-                for v, p in zip(spec.support, spec.probs)
-            }
-        left, right = (build(c) for c in tree.children(node))
+            return _snap(spec.support)[:, None], spec.probs
+        (pts_l, q_l), (pts_r, q_r) = (build(c) for c in tree.children(node))
+        _, i_l = np.unique(_snap(pts_l.sum(axis=1)), return_inverse=True)
+        _, i_r = np.unique(_snap(pts_r.sum(axis=1)), return_inverse=True)
+        m_l, m_r = np.bincount(i_l, q_l), np.bincount(i_r, q_r)
         rho = _node_rho(model.copulas[node], node)
-        sums_l = sorted(left)
-        sums_r = sorted(right)
-        p_l = np.array([sum(left[s].values()) for s in sums_l])
-        p_r = np.array([sum(right[s].values()) for s in sums_r])
-        cells = _rectangles(rho, np.cumsum(p_l), np.cumsum(p_r))
-        state = {}
-        size = 0
-        for i, s in enumerate(sums_l):
-            if p_l[i] <= 0.0:
-                continue
-            for j, t in enumerate(sums_r):
-                q = cells[i, j]
-                if q <= 0.0 or p_r[j] <= 0.0:
-                    continue
-                weight = q / (p_l[i] * p_r[j])
-                bucket = state.setdefault(snap(s + t), {})
-                for vec_l, a in left[s].items():
-                    for vec_r, b in right[t].items():
-                        vec = vec_l + vec_r
-                        bucket[vec] = bucket.get(vec, 0.0) + weight * a * b
-            size = sum(len(v) for v in state.values())
-            if size > support_cap:
-                raise SupportSizeError(size, support_cap)
-        return state
+        cells = _rectangles(rho, np.cumsum(m_l), np.cumsum(m_r))
+        kept = cells > 0.0
+        size = int(np.bincount(i_l) @ kept @ np.bincount(i_r))
+        if size > support_cap:
+            raise SupportSizeError(size, support_cap)
+        a, b = np.nonzero(kept[i_l][:, i_r])
+        probs = (cells / np.outer(m_l, m_r))[i_l[a], i_r[b]] * q_l[a] * q_r[b]
+        return np.hstack([pts_l[a], pts_r[b]]), probs
 
-    state = build(())
-    points = []
-    probs = []
-    for bucket in state.values():
-        for vec, p in bucket.items():
-            points.append(vec)
-            probs.append(p)
-    probs = np.asarray(probs)
-    return DiscreteJointPmf(np.asarray(points), probs / probs.sum())
+    points, probs = build(())
+    return DiscreteJointPmf(points, probs / probs.sum())

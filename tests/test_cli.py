@@ -505,6 +505,21 @@ class TestExperimentPresets:
             f"error: estimated generation count {draws} exceeds budget 1e+08\n")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "1", "--n must be >= 3 for exp-3.4, got 1"),
+        ("--n", "2", "--n must be >= 3 for exp-3.4, got 2"),
+        ("--n", "-1", "--n must be a nonnegative integer, got -1"),
+        ("--seed", "-1", "--seed must be a nonnegative integer, got -1"),
+    ], ids=["n1", "n2", "n-neg", "seed-neg"])
+    def test_four_leaf_preset_checks_flags_first(self, flag, value, message,
+                                                 tmp_path, capsys):
+        out = tmp_path / "exp"
+        rc = main(["experiment", "exp-3.4", "--out-dir", str(out),
+                   flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
     def test_regroup_preset(self, tmp_path, capsys):
         out = tmp_path / "exp"
         rc = main(["experiment", "exp-4.3", "--out-dir", str(out)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggtree.mra
 from aggtree import (
@@ -17,6 +19,7 @@ from aggtree import (
     ROOT,
     RootedTree,
     SupportSizeError,
+    copula_correlation,
     empirical_joint_pmf,
     reorder_children,
     reorder_fixed_first,
@@ -25,7 +28,7 @@ from aggtree import (
     tv_distance,
 )
 from aggtree.errors import UnsupportedModelError
-from aggtree.mra import _kept_atoms
+from aggtree.mra import _kept_atoms, _rectangles
 
 X1 = np.array([1.0, 4.0, 2.0])
 X2 = np.array([9.0, 0.0, 3.0])
@@ -291,9 +294,24 @@ class TestTreeDependentPmf:
         with pytest.raises(SupportSizeError) as exc:
             tree_dependent_pmf(model)
         assert exc.value.size > exc.value.cap == 10**5
+        # every cell is positive at rho = 0.3, so all n * n pairs count
+        assert exc.value.size == n * n
         # the cap is a parameter: a tiny cap trips even an 8-point support
         with pytest.raises(SupportSizeError):
             tree_dependent_pmf(bernoulli3(), support_cap=4)
+
+    def test_oracle_snaps_like_empirical_pmf(self):
+        # 0.9179061055 is a half-way case at the 10th decimal, which Python's
+        # round and np.round put on different 9-decimal points
+        tree = RootedTree.from_nested({"children": [{}, {}]})
+        model = AggregationTreeModel(
+            tree, {"1": Discrete([0.0, 0.9179061055], [0.5, 0.5]), "2": coin()},
+            {"root": Independence(2)})
+        oracle = tree_dependent_pmf(model)
+        np.testing.assert_array_equal(
+            oracle.points, empirical_joint_pmf(oracle.points).points)
+        x = run_mra(model, 2000, seed=0).realizations
+        assert tv_distance(empirical_joint_pmf(x), oracle) <= 0.1
 
     def test_non_binary_rejected(self):
         tree = RootedTree.from_nested({"children": [{}, {}, {}]})
@@ -312,6 +330,59 @@ class TestTreeDependentPmf:
             {"root": GaussianCopula.bivariate(0.2)})
         with pytest.raises(UnsupportedModelError):
             tree_dependent_pmf(model)
+
+
+@st.composite
+def binary_tree(draw, depth=0):
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        return {}
+    return {"children": [draw(binary_tree(depth + 1)),
+                         draw(binary_tree(depth + 1))]}
+
+
+@st.composite
+def discrete_tree_model(draw):
+    tree = RootedTree.from_nested(draw(binary_tree()))
+    marginals = {}
+    for leaf in tree.leaves():
+        # tenths, so sums like 0.1 + 0.2 meet on the snapped grid
+        support = sorted(draw(st.lists(st.integers(-20, 20), min_size=1,
+                                       max_size=3, unique=True)))
+        weights = np.array(draw(st.lists(st.integers(1, 5), min_size=len(support),
+                                         max_size=len(support))), dtype=float)
+        marginals[leaf] = Discrete(np.array(support) / 10.0, weights / weights.sum())
+    rho = st.sampled_from([-1.0, -0.5, 0.0, 0.3, 1.0]).map(GaussianCopula.bivariate)
+    copulas = {node: draw(rho | st.just(Independence(2)))
+               for node in tree.branching()}
+    return AggregationTreeModel(tree, marginals, copulas)
+
+
+def _grouped(values, probs):
+    keys, inv = np.unique(np.round(values, 9), return_inverse=True)
+    return keys, inv, np.bincount(inv, probs)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(discrete_tree_model())
+def test_oracle_on_random_binary_trees(model):
+    pmf = tree_dependent_pmf(model)
+    assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    leaves = model.tree.leaves()
+    for col, leaf in enumerate(leaves):
+        spec = model.marginals[leaf]
+        keys, _, mass = _grouped(pmf.points[:, col], pmf.probs)
+        np.testing.assert_array_equal(keys, np.round(spec.support, 9))
+        np.testing.assert_allclose(mass, spec.probs, rtol=0, atol=1e-12)
+    # at the root, (left sum, right sum) follows the root copula's cells
+    sums = [pmf.points[:, [leaves.index(lf) for lf in
+                           model.tree.leaf_descendants(child)]].sum(axis=1)
+            for child in model.tree.children(ROOT)]
+    (_, i_l, m_l), (_, i_r, m_r) = (_grouped(s, pmf.probs) for s in sums)
+    joint = np.zeros((len(m_l), len(m_r)))
+    np.add.at(joint, (i_l, i_r), pmf.probs)
+    rho = copula_correlation(model.copulas[ROOT])[0, 1]
+    cells = _rectangles(rho, np.cumsum(m_l), np.cumsum(m_r))
+    np.testing.assert_allclose(joint, cells, rtol=0, atol=1e-12)
 
 
 class TestEmpiricalPmfAndTv:
