@@ -43,6 +43,36 @@ from .tree import ROOT, AggregationTreeModel, RootedTree, node_id, node_label
 
 __all__ = ["main", "model_from_config", "config_echo", "PRESETS"]
 _CSV_CHUNK_ROWS = 2**12  # bounds the string one % format builds
+# %.17g of a cell with decimal exponent x in -6..16 is built in six words, 48
+# little-endian bytes with NULs to drop: the sign, leading text ("0.00" for
+# x < 0 in fixed notation) and digit 0, then digits 1-16, then the exponent
+# suffix and the separator. Each digit byte is followed by a slot for the point.
+_G_EXPONENTS = range(-6, 17)
+_G_LEAD = np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-x - 1), "little") if -4 <= x < 0
+                    else 0 for x in _G_EXPONENTS])
+_G_INT_DIGITS = np.array([1 if x < -4 else max(x + 1, 0) for x in _G_EXPONENTS])
+_G_SUFFIX = np.array([int.from_bytes(b"e-0%d" % -x, "little") if x < -4 else 0
+                      for x in _G_EXPONENTS])
+# for each group of four digits: its digit bytes, one apart, and the place of
+# its last nonzero digit (far below any group start for 0000)
+_G4 = np.arange(10**4)
+_SPREAD4 = sum((_G4 // 10**(3 - i) % 10 + ord("0")) << 16 * i for i in range(4))
+_LAST4 = np.where(_G4 > 0, 4 - sum(_G4 % 10**k == 0 for k in (1, 2, 3)), -20)
+_GROUP_START = np.array([[1], [5], [9], [13]])
+# the bytes a group keeps when p digits are shown, at index p - start + 12
+_KEEP_DIGITS = np.array([-1 if i >= 16 else (1 << 16 * max(i - 12, 0)) - 1 for i in range(29)])
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _least_double_from(k):
+    """The least double not below 10**k, for -22 <= k <= 22."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    t = num / den  # correctly rounded
+    n, d = t.as_integer_ratio()
+    return t if n * den >= num * d else math.nextafter(t, math.inf)
+
+
+_DECADES = np.array([_least_double_from(k) for k in range(-6, 18)])
 
 
 class ConfigError(ValueError):
@@ -183,11 +213,68 @@ def _write_csv(handle, header, rows):
         handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
+def _two_product(a, b):
+    """Dekker's TwoProduct: ``hi == fl(a * b)`` and ``hi + lo == a * b`` exactly."""
+    def split(v):
+        t = (2.0**27 + 1) * v
+        h = t - (t - v)
+        return h, v - h
+
+    (a1, a2), (b1, b2), hi = split(a), split(b), a * b
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _encode_g17(flat, columns):
+    """``%.17g`` of ±0 and 1e-6 <= |v| < 1e17, CSV rows of ``columns`` cells."""
+    a = np.abs(flat)
+    x = np.searchsorted(_DECADES[1:], a, side="right") - 6  # 10**x <= a < 10**(x+1)
+    x[a == 0] = 0
+    hi, lo = _two_product(a, _POW10[16 - x])  # 1e16 <= hi + lo < 1e17 unless a == 0
+    whole = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # never 10**17
+    q = [whole // 10**k for k in (16, 12, 8, 4)] + [whole]
+    groups = np.stack([q[i + 1] - q[i] * 10**4 for i in range(4)])  # digits 1-4, ..., 13-16
+    kept = (_LAST4[groups] + _GROUP_START).max(axis=0, initial=1)  # to the last nonzero
+    left = _G_INT_DIGITS[x + 6]
+    rec = np.empty((6, len(flat)), "<i8")
+    rec[0] = _G_LEAD[x + 6] | np.signbit(flat) * ord("-") | (q[0] + ord("0")) << 48
+    rec[1:5] = _SPREAD4[groups] & _KEEP_DIGITS[np.maximum(kept, left) - _GROUP_START + 12]
+    rec[5] = _G_SUFFIX[x + 6] | ord(",") << 32
+    rec[5, columns - 1::columns] += (ord("\n") - ord(",")) << 32
+    point = np.flatnonzero((left > 0) & (kept > left))
+    slot = 2 * left[point] + 5  # the byte after digit left - 1
+    rec.ravel()[slot // 8 * len(flat) + point] |= ord(".") << 8 * (slot % 8)
+    return rec.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_block(handle, header, block):
+    """Write ``block`` as ``%.17g`` CSV, byte for byte, one chunk at a time.
+
+    A chunk of integers below 1e17 (no -0.0) is written with ``%d``. A chunk
+    of ±0 and 1e-6 <= |v| < 1e17 is encoded in numpy without rounding error.
+    Its decimal exponent x, 10**x <= |v| < 10**(x+1), comes from exact
+    comparisons with the least doubles not below each power of ten. Then
+    10**(16 - x) is an exact double, and Dekker's TwoProduct gives
+    |v| * 10**(16 - x) exactly as hi + lo, in [1e16, 1e17). hi is an even
+    integer above 2**53, so hi + rint(lo) is that product rounded half to
+    even: the 17 digits ``%.17g`` prints. It never rounds up to 1e17, since
+    the largest double below each power of ten 1e-5..1e17 is at least 8
+    units of its 17th digit away. Every step is elementwise IEEE arithmetic
+    or integer work, so the bytes do not depend on SIMD dispatch. Any other
+    chunk (nan, inf, subnormal, tiny or huge values) is formatted by ``%``.
+    """
     handle.write(",".join(header) + "\n")
     line = ",".join(["%.17g"] * block.shape[1]) + "\n"
     for chunk in np.split(block, range(_CSV_CHUNK_ROWS, len(block), _CSV_CHUNK_ROWS)):
-        handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        flat = chunk.ravel()
+        a = np.abs(flat)
+        if np.all(a < 1e17) and np.all(flat == np.rint(flat)) \
+                and not np.signbit(flat[flat == 0]).any():
+            handle.write(line.replace("%.17g", "%d") * len(chunk)
+                         % tuple(flat.astype(np.int64).tolist()))
+        elif np.all((a == 0) | ((a >= _DECADES[0]) & (a < _DECADES[-1]))):
+            handle.write(_encode_g17(flat, block.shape[1]))
+        else:
+            handle.write(line * len(chunk) % tuple(flat.tolist()))
 
 
 def _load_config(path):

@@ -246,8 +246,10 @@ def tree_dependent_pmf(model, support_cap=10**5):
     Requires all-discrete marginals and a binary tree. Built bottom-up, with
     ``points`` (K, leaves below) and ``probs`` (K,) per node: a pair of child
     rows gets the mass of its sums' copula rectangle cell, split by
-    conditional independence given the sums. The exact count of pairs in
-    nonzero cells is checked against ``support_cap`` before any is built.
+    conditional independence given the sums. At each node the number of
+    candidate pairs, |left rows| x |right rows|, is checked against
+    ``support_cap`` before the cell grid or any pair is built, so the cap
+    bounds memory; it counts pairs in zero cells too.
     """
     model.require_valid()
     tree = model.tree
@@ -269,16 +271,15 @@ def tree_dependent_pmf(model, support_cap=10**5):
             spec = model.marginals[node]
             return _snap(spec.support)[:, None], spec.probs
         (pts_l, q_l), (pts_r, q_r) = (build(c) for c in tree.children(node))
+        size = len(q_l) * len(q_r)  # bounds the cell grid and the pair mask
+        if size > support_cap:
+            raise SupportSizeError(size, support_cap)
         _, i_l = np.unique(_snap(pts_l.sum(axis=1)), return_inverse=True)
         _, i_r = np.unique(_snap(pts_r.sum(axis=1)), return_inverse=True)
         m_l, m_r = np.bincount(i_l, q_l), np.bincount(i_r, q_r)
         rho = _node_rho(model.copulas[node], node)
         cells = _rectangles(rho, np.cumsum(m_l), np.cumsum(m_r))
-        kept = cells > 0.0
-        size = int(np.bincount(i_l) @ kept @ np.bincount(i_r))
-        if size > support_cap:
-            raise SupportSizeError(size, support_cap)
-        a, b = np.nonzero(kept[i_l][:, i_r])
+        a, b = np.nonzero((cells > 0.0)[i_l][:, i_r])
         probs = (cells / np.outer(m_l, m_r))[i_l[a], i_r[b]] * q_l[a] * q_r[b]
         return np.hstack([pts_l[a], pts_r[b]]), probs
 

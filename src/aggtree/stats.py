@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from ._rng import node_stream
@@ -73,6 +72,8 @@ class HzResult:
 
 
 def _hz_statistic(x):
+    from scipy.linalg import solve_triangular  # here, not at import: 0.04-0.09 s of a cold start
+
     n, d = x.shape
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / n

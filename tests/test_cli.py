@@ -8,12 +8,14 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aggtree import (
     node_label,
@@ -268,19 +270,86 @@ EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
                1.7976931348623157e308, 1e22, 123456789012345678.0, -2.5]
 
 
-@pytest.mark.parametrize("block", [
-    np.array(EDGE_FLOATS).reshape(4, 4),
-    np.array(EDGE_FLOATS)[:, None],
-    np.empty((0, 3)),
-    np.random.default_rng(0).standard_normal((cli._CSV_CHUNK_ROWS + 1, 2)),
-    np.random.default_rng(1).standard_normal((4, 3)).T,
-], ids=["edge-values", "one-column", "no-rows", "one-chunk-plus-one-row",
-        "transposed-view"])
-def test_write_block_matches_per_cell_writer(block):
+def signed(values):
+    """``values`` and their negatives, as one column."""
+    v = np.array(values, dtype=float)
+    return np.concatenate([v, -v])[:, None]
+
+
+def in_encoder_range(v):
+    return Fraction(10) ** -6 <= abs(Fraction(v)) < 10**17
+
+
+# the double nearest 1e-6 lies below 10**-6; the encoder's range starts one above
+LEAST = float(np.nextafter(1e-6, 1.0))
+
+
+# 10**k for k = -7..17 and the doubles next to it
+POWERS_OF_TEN = [q for k in range(-7, 18) for p in [float(f"1e{k}")]
+                 for q in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+# exact ties at the 17th digit (round half to even), the largest doubles below
+# a power of ten, and short decimals
+TIES_AND_NEAR_POWERS = [100000000000000.125, 100000000000000.375, 1000000000000000.25,
+                        1000000000000000.75, 9.9999999999999995e-05, 1e16 + 2,
+                        99999999999999984.0, 0.5, 0.1, 0.3, 2.675, 1.0 / 3.0]
+# %.17g switches to exponent notation below 1e-4
+EXPONENT_SWITCH = [1e-4, 0.00012345678901234567, 9.9999999999999995e-05, 1e-5,
+                   1.5e-5, 5e-6, LEAST, 2.5e-6]
+INTEGRAL = np.array([[0.0, 1.0, -3.0, 1e16], [12345.0, 2.0**53, 7.0, 99999999999999984.0]])
+NORMALS_AND_A_SUBNORMAL = np.random.default_rng(2).standard_normal((100, 4))
+NORMALS_AND_A_SUBNORMAL[50, 2] = 5e-324
+RANDOM_BITS = np.random.default_rng(3).integers(  # 2**18 bit patterns in [LEAST, 1e17)
+    np.float64(LEAST).view(np.int64), np.float64(1e17).view(np.int64), (2**16, 4)
+).view(np.float64) * np.random.default_rng(4).choice([-1.0, 1.0], (2**16, 4))
+
+
+@pytest.mark.parametrize("block, encoded", [
+    pytest.param(np.array(EDGE_FLOATS).reshape(4, 4), 0, id="edge-values"),
+    pytest.param(np.array(EDGE_FLOATS)[:, None], 0, id="one-column"),
+    pytest.param(np.empty((0, 3)), 0, id="no-rows"),
+    pytest.param(np.random.default_rng(0).standard_normal((cli._CSV_CHUNK_ROWS + 1, 2)), 2,
+                 id="one-chunk-plus-one-row"),
+    pytest.param(np.random.default_rng(1).standard_normal((4, 3)).T, 1, id="transposed-view"),
+    pytest.param(signed([v for v in POWERS_OF_TEN if in_encoder_range(v)]), 1,
+                 id="powers-of-ten"),
+    pytest.param(signed([v for v in POWERS_OF_TEN if not in_encoder_range(v)]), 0,
+                 id="powers-of-ten-out-of-range"),
+    pytest.param(signed(TIES_AND_NEAR_POWERS), 1, id="ties-and-near-powers"),
+    pytest.param(signed(EXPONENT_SWITCH), 1, id="exponent-switch"),
+    pytest.param(INTEGRAL, 0, id="integral"),
+    pytest.param(np.where(INTEGRAL == 7.0, -0.0, INTEGRAL), 1, id="integral-and-negative-zero"),
+    pytest.param(NORMALS_AND_A_SUBNORMAL, 0, id="normals-and-a-subnormal"),
+    pytest.param(RANDOM_BITS, 2**16 // cli._CSV_CHUNK_ROWS,
+                 id="random-bits-in-encoder-range"),
+])
+def test_write_block_matches_per_cell_writer(block, encoded, monkeypatch):
+    calls = []
+    encode = cli._encode_g17
+    monkeypatch.setattr(cli, "_encode_g17", lambda *a: calls.append(1) or encode(*a))
     header = [f"c{j}" for j in range(block.shape[1])]
     fast, slow = io.StringIO(), io.StringIO()
     cli._write_block(fast, header, block)
     write_csv_per_cell(slow, header, block)
+    assert fast.getvalue() == slow.getvalue()
+    assert len(calls) == encoded  # chunks that took the numpy encoder
+
+
+# 1e-6 <= |v| < 1e17 or v = ±0: the numpy encoder's range
+ENCODABLE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(LEAST, 1e17, exclude_max=True),
+                      st.floats(-1e17, -LEAST, exclude_min=True))
+# blocks of any floats (NaN and infinities included), of encodable floats, and
+# of integers (the %d path)
+BLOCKS = st.one_of(*(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                                elements=cells, fill=st.nothing())
+                     for cells in (st.floats(), ENCODABLE, st.integers(-10**6, 10**6).map(float))))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(BLOCKS)
+def test_write_block_matches_per_cell_writer_on_any_floats(block):
+    fast, slow = io.StringIO(), io.StringIO()
+    cli._write_block(fast, ["c"] * block.shape[1], block)
+    write_csv_per_cell(slow, ["c"] * block.shape[1], block)
     assert fast.getvalue() == slow.getvalue()
 
 

@@ -1,8 +1,9 @@
 """Start-up cost guard: the CLI must not pull in heavy scipy subpackages.
 
 ``import aggtree.cli`` runs on every command. Nothing in the package needs
-scipy.integrate or scipy.optimize, and each adds a large share of a cold
-start, so a fresh interpreter must not load them.
+scipy.integrate or scipy.optimize, and only the Henze-Zirkler test needs
+scipy.linalg; each adds a large share of a cold start, so a fresh
+interpreter must not load them.
 """
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import aggtree
 
-HEAVY = ("scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,25 @@ class TestTreeDependentPmf:
         # the cap is a parameter: a tiny cap trips even an 8-point support
         with pytest.raises(SupportSizeError):
             tree_dependent_pmf(bernoulli3(), support_cap=4)
+
+    def test_support_cap_bounds_memory(self):
+        # at rho = 1 only 3,000 of the 9e6 pairs carry mass, but the cell grid
+        # and pair mask cover all of them: the cap must trip before either
+        n = 3000
+        sup = list(np.arange(n) * 1.0)
+        tree = RootedTree.from_nested({"children": [{}, {}]})
+        model = AggregationTreeModel(
+            tree, {"1": Discrete(sup, [1.0 / n] * n), "2": Discrete(sup, [1.0 / n] * n)},
+            {"root": GaussianCopula.bivariate(1.0)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportSizeError) as exc:
+                tree_dependent_pmf(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.size == n * n
+        assert peak < 10 * 2**20
 
     def test_oracle_snaps_like_empirical_pmf(self):
         # 0.9179061055 is a half-way case at the 10th decimal, which Python's
