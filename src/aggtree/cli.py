@@ -339,7 +339,7 @@ def cmd_treedep(args):
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
     with _open_out(args.out) as handle:
-        _write_matrix(handle, labels, law.covariance, law.mean)
+        _write_csv(handle, *_matrix_table(labels, law.covariance, law.mean))
     return 0
 
 
@@ -448,73 +448,55 @@ def _regroup_models():
     return first, second, display
 
 
-def _summary(out_dir, lines):
-    text = "".join(f"{k}={_fmt(v)}\n" for k, v in lines)
-    (Path(out_dir) / "summary.txt").write_text(text)
-    sys.stdout.write(text)
-
-
-def _write_matrix(handle, labels, matrix, means=None):
-    rows = []
-    for i, label in enumerate(labels):
-        row = [label]
-        if means is not None:
-            row.append(means[i])
-        row.extend(matrix[i])
-        rows.append(row)
+def _matrix_table(labels, matrix, means=None):
+    """A labelled square matrix, with an optional mean column, as (header, rows)."""
     header = ["leaf"] + (["mean"] if means is not None else []) + list(labels)
-    _write_csv(handle, header, rows)
+    rows = [[label] + ([means[i]] if means is not None else []) + list(matrix[i])
+            for i, label in enumerate(labels)]
+    return header, rows
 
 
-def _preset_four_leaf(out_dir, n, seed, _grid):
+def _preset_four_leaf(n, seed, _grid):
     n = _need(10**6, n, "n")
     seed = _need(1234, seed, "seed")
-    if n < 3:
-        raise ConfigError(f"--n must be >= 3 for exp-3.4, got {n}")
     model = _four_leaf_model()
+    least = len(model.tree.leaves()) + 1  # else the subsample covariance is singular
+    if n < least:
+        raise ConfigError(f"--n must be >= {least} for exp-3.4, got {n}")
     atoms = _reorder_root(model, n, seed)
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
-    with open(Path(out_dir) / "treedep.csv", "w", newline="") as handle:
-        _write_matrix(handle, labels, law.covariance, law.mean)
-
     mean, cov = sample_mean_cov(atoms.composition)
-    with open(Path(out_dir) / "sample_cov.csv", "w", newline="") as handle:
-        _write_matrix(handle, labels, cov, mean)
-
     sub = min(10**4, n)
     pick = node_stream(seed, "subsample").choice(n, size=sub, replace=False)
     hz = henze_zirkler(atoms.composition[pick])
-    _summary(out_dir, [
+    tables = {"treedep.csv": _matrix_table(labels, law.covariance, law.mean),
+              "sample_cov.csv": _matrix_table(labels, cov, mean)}
+    return tables, [
         ("n", n),
         ("seed", seed),
         ("max_abs_cov_deviation", float(np.max(np.abs(cov - law.covariance)))),
         ("hz_statistic", hz.statistic),
         ("hz_p_value", hz.p_value),
-    ])
-    return 0
+    ]
 
 
-def _preset_regroup(out_dir, _n, _seed, _grid):
+def _preset_regroup(_n, _seed, _grid):
     first, second, display = _regroup_models()
-    labels = ["x", "y", "z"]
     covs = {}
     for name, model in (("first", first), ("second", second)):
-        law = tree_dependent_law(model)
         perm = display[name]
-        cov = law.covariance[np.ix_(perm, perm)]
-        covs[name] = cov
-        with open(Path(out_dir) / f"{name}_grouping.csv", "w", newline="") as handle:
-            _write_matrix(handle, labels, cov)
+        covs[name] = tree_dependent_law(model).covariance[np.ix_(perm, perm)]
     diff = float(np.max(np.abs(covs["first"] - covs["second"])))
-    _summary(out_dir, [
+    tables = {f"{name}_grouping.csv": _matrix_table(["x", "y", "z"], cov)
+              for name, cov in covs.items()}
+    return tables, [
         ("max_abs_difference", diff),
         ("covariances_equal", diff == 0.0),
-    ])
-    return 0
+    ]
 
 
-def _preset_scale_limits(out_dir, _n, _seed, _grid):
+def _preset_scale_limits(_n, _seed, _grid):
     big = 1e6
     rows = []
     errors = {"case1": 0.0, "case2": 0.0, "case3": 0.0}
@@ -537,17 +519,11 @@ def _preset_scale_limits(out_dir, _n, _seed, _grid):
                 rows.append(["case3"] + row)
                 errors["case3"] = max(errors["case3"],
                                       abs(iv.min - base.min), abs(iv.max - base.max))
-    with open(Path(out_dir) / "limits.csv", "w", newline="") as handle:
-        _write_csv(handle, ["case"] + _BOUNDS_HEADER, rows)
-    _summary(out_dir, [
-        ("case1_max_error", errors["case1"]),
-        ("case2_max_error", errors["case2"]),
-        ("case3_max_error", errors["case3"]),
-    ])
-    return 0
+    return {"limits.csv": (["case"] + _BOUNDS_HEADER, rows)}, [
+        (f"{case}_max_error", error) for case, error in errors.items()]
 
 
-def _preset_interval_length(out_dir, _n, _seed, grid):
+def _preset_interval_length(_n, _seed, grid):
     grid = grid if grid is not None else [round(-1.0 + 0.1 * k, 10) for k in range(21)]
     rows = []
     max_length = -math.inf
@@ -557,17 +533,14 @@ def _preset_interval_length(out_dir, _n, _seed, grid):
             length = iv.max - iv.min
             rows.append([length] + row)
             max_length = max(max_length, length)
-    with open(Path(out_dir) / "lengths.csv", "w", newline="") as handle:
-        _write_csv(handle, ["length"] + _BOUNDS_HEADER, rows)
     _, corner = _interval_row(1.0, 1.0, 1.0, -1.0, 0.0)
-    _summary(out_dir, [
+    return {"lengths.csv": (["length"] + _BOUNDS_HEADER, rows)}, [
         ("max_length", max_length),
         ("length_at_rho12_-1_rho_root_0", corner.max - corner.min),
-    ])
-    return 0
+    ]
 
 
-def _preset_interval_position(out_dir, _n, _seed, grid):
+def _preset_interval_position(_n, _seed, grid):
     grid = grid if grid is not None else [round(-1.0 + 0.25 * k, 10) for k in range(9)]
     rows = []
     off_center = 0.0
@@ -580,25 +553,16 @@ def _preset_interval_position(out_dir, _n, _seed, grid):
                 off_center = max(off_center, abs(iv.tree_dep - iv.mid))
                 if r12 == 1.0:
                     comonotone_width = max(comonotone_width, iv.max - iv.min)
-    with open(Path(out_dir) / "intervals.csv", "w", newline="") as handle:
-        _write_csv(handle, _BOUNDS_HEADER, rows)
-    _summary(out_dir, [
+    return {"intervals.csv": (_BOUNDS_HEADER, rows)}, [
         ("max_abs_treedep_minus_mid", off_center),
         ("comonotone_max_width", comonotone_width),
-    ])
-    return 0
+    ]
 
 
-def _preset_insurers(out_dir, _n, _seed, _grid):
-    rows = []
+def _preset_insurers(_n, _seed, _grid):
     sqrt2 = math.sqrt(2.0)
-    row, iv1 = _interval_row(1.0, sqrt2, 1.0, -1.0 / sqrt2, 0.0)
-    rows.append(["insurer1"] + row)
-    row, iv2 = _interval_row(1.0, 1.0, sqrt2, 1.0, -1.0 / sqrt2)
-    rows.append(["insurer2"] + row)
-    with open(Path(out_dir) / "insurers.csv", "w", newline="") as handle:
-        _write_csv(handle, ["model"] + _BOUNDS_HEADER, rows)
-
+    row1, iv1 = _interval_row(1.0, sqrt2, 1.0, -1.0 / sqrt2, 0.0)
+    row2, iv2 = _interval_row(1.0, 1.0, sqrt2, 1.0, -1.0 / sqrt2)
     lam_worst = math.inf
     for a in (-1.0, 0.0, 1.0):
         cov = three_leaf_covariance(1.0, sqrt2, 1.0, -1.0 / sqrt2, 0.0, a)
@@ -606,17 +570,17 @@ def _preset_insurers(out_dir, _n, _seed, _grid):
         lam_worst = min(lam_worst, lam)
     cov2 = three_leaf_covariance(1.0, 1.0, sqrt2, 1.0, -1.0 / sqrt2, iv2.tree_dep)
     true_cov = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
-    _summary(out_dir, [
+    rows = [["insurer1"] + row1, ["insurer2"] + row2]
+    return {"insurers.csv": (["model"] + _BOUNDS_HEADER, rows)}, [
         ("insurer1_min", iv1.min),
         ("insurer1_max", iv1.max),
         ("insurer1_worst_lambda_min", lam_worst),
         ("insurer2_half_length", iv2.half_length),
         ("insurer2_cov_error", float(np.max(np.abs(cov2 - true_cov)))),
-    ])
-    return 0
+    ]
 
 
-def _preset_symmetric(out_dir, _n, _seed, grid):
+def _preset_symmetric(_n, _seed, grid):
     grid = grid if grid is not None else [round(-0.9 + 0.3 * k, 10) for k in range(7)]
     pairs = {"pair13": ("1.1.1", "1.2.1"), "pair18": ("1.1.1", "2.2.2")}
     degree = {"pair13": 2, "pair18": 3}
@@ -636,16 +600,15 @@ def _preset_symmetric(out_dir, _n, _seed, grid):
         nesting_slack = max(nesting_slack,
                             bounds["pair18"][0] - bounds["pair13"][0],
                             bounds["pair13"][1] - bounds["pair18"][1])
-    with open(Path(out_dir) / "symmetric.csv", "w", newline="") as handle:
-        _write_csv(handle, ["rho", "pair", "tree_dep", "min", "max",
-                            "min_status", "max_status"], rows)
-    _summary(out_dir, [
+    header = ["rho", "pair", "tree_dep", "min", "max", "min_status", "max_status"]
+    return {"symmetric.csv": (header, rows)}, [
         ("nesting_slack", nesting_slack),
         ("treedep_outside_slack", inside_slack),
-    ])
-    return 0
+    ]
 
 
+# preset(n, seed, grid) -> (tables, summary): tables maps a file name to
+# (header, rows), summary is the (key, value) lines of summary.txt
 PRESETS = {
     "exp-3.4": _preset_four_leaf,
     "exp-4.3": _preset_regroup,
@@ -657,13 +620,30 @@ PRESETS = {
 }
 
 
+def _rho_grid(text):
+    """The --rho-grid values; each must be a number in [-1, 1], so not nan."""
+    try:
+        grid = [float(part) for part in text.split(",")]
+        if all(-1.0 <= rho <= 1.0 for rho in grid):
+            return grid
+    except ValueError:
+        pass
+    raise ConfigError(f"--rho-grid must be numbers in [-1, 1], got {text!r}")
+
+
 def cmd_experiment(args):
+    """Run a preset, then write its tables and summary.txt; nothing on failure."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = None
-    if args.rho_grid:
-        grid = [float(part) for part in args.rho_grid.split(",")]
-    return PRESETS[args.preset](out_dir, args.n, args.seed, grid)
+    grid = _rho_grid(args.rho_grid) if args.rho_grid else None
+    tables, summary = PRESETS[args.preset](args.n, args.seed, grid)
+    for name, (header, rows) in tables.items():
+        with open(out_dir / name, "w", newline="") as handle:
+            _write_csv(handle, header, rows)
+    text = "".join(f"{key}={_fmt(value)}\n" for key, value in summary)
+    (out_dir / "summary.txt").write_text(text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _build_parser():

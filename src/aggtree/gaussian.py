@@ -52,68 +52,54 @@ def _node_correlation(corrs, node, arity):
     return r
 
 
-def node_sum_variances(tree, leaf_variances, copula_corrs):
-    """Variance of the partial sum at every node, computed bottom-up."""
-    out = {}
-    for node in sorted(tree.nodes, key=len, reverse=True):
-        if tree.arity(node) == 0:
-            out[node] = float(leaf_variances[node])
-            continue
+def _second_moments(tree, leaf_variances, copula_corrs):
+    """(variance of the partial sum at every node, leaf covariance), bottom-up.
+
+    Leaves are lexicographic, so the leaves below a node are one block of
+    columns. ``load[a]`` is cov(X_a, S), S the sum of the largest subtree
+    built so far that holds leaf a. Partial sums of sibling subtrees
+    are coupled by the node copula's correlation; within-subtree structure
+    is already fixed lower down, so each cross block factorizes through the
+    two subtree sums.
+    """
+    leaves = tree.leaves()
+    cov = np.diag([float(leaf_variances[leaf]) for leaf in leaves])
+    load = cov.diagonal().copy()
+    var = {leaf: float(v) for leaf, v in zip(leaves, load)}
+    block = {leaf: slice(k, k + 1) for k, leaf in enumerate(leaves)}
+    for node in sorted(tree.branching(), key=len, reverse=True):
         children = tree.children(node)
         r = _node_correlation(copula_corrs, node, len(children))
-        sd = np.sqrt([max(out[c], 0.0) for c in children])
-        out[node] = max(float(sd @ r @ sd), 0.0)
-    return out
+        v = [var[c] for c in children]
+        sd = np.sqrt(np.maximum(v, 0.0))
+        cross = r * np.outer(sd, sd)
+        cols = [block[c] for c in children]
+        for i in range(len(children)):
+            for j in range(i + 1, len(children)):
+                if v[i] <= 0.0 or v[j] <= 0.0:
+                    continue
+                cov[cols[i], cols[j]] = np.outer(load[cols[i]], load[cols[j]]) \
+                    * (cross[i, j] / (v[i] * v[j]))
+                cov[cols[j], cols[i]] = cov[cols[i], cols[j]].T
+        for i in range(len(children)):
+            if v[i] > 0.0:
+                load[cols[i]] *= 1.0 + (cross[i].sum() - cross[i, i]) / v[i]
+        var[node] = max(float(cross.sum()), 0.0)
+        block[node] = slice(cols[0].start, cols[-1].stop)
+    return var, cov
+
+
+def node_sum_variances(tree, leaf_variances, copula_corrs):
+    """Variance of the partial sum at every node, computed bottom-up."""
+    return _second_moments(tree, leaf_variances, copula_corrs)[0]
 
 
 def tree_dependent_covariance(tree, leaf_variances, copula_corrs):
     """Joint covariance of the leaves under the tree dependent law.
 
-    Returns (leaf_order, covariance). Partial sums of sibling subtrees
-    are coupled by the node copula's correlation; within-subtree structure
-    is already fixed lower down, and each cross entry factorizes through
-    the two subtree sums.
+    Returns (leaf_order, covariance).
     """
-    leaves = tree.leaves()
-    index = {leaf: k for k, leaf in enumerate(leaves)}
-    cov = np.zeros((len(leaves), len(leaves)))
-    var_sum = {}
-    leaf_cov = {}
-    for node in sorted(tree.nodes, key=len, reverse=True):
-        if tree.arity(node) == 0:
-            v = float(leaf_variances[node])
-            cov[index[node], index[node]] = v
-            var_sum[node] = v
-            leaf_cov[node] = {node: v}
-            continue
-        children = tree.children(node)
-        r = _node_correlation(copula_corrs, node, len(children))
-        sd = np.sqrt([max(var_sum[c], 0.0) for c in children])
-        cross = r * np.outer(sd, sd)
-        for i in range(len(children)):
-            vi = var_sum[children[i]]
-            for j in range(i + 1, len(children)):
-                vj = var_sum[children[j]]
-                if vi <= 0.0 or vj <= 0.0:
-                    continue
-                scale = cross[i, j] / (vi * vj)
-                for a, ca in leaf_cov[children[i]].items():
-                    for b, cb in leaf_cov[children[j]].items():
-                        val = ca * cb * scale
-                        cov[index[a], index[b]] = val
-                        cov[index[b], index[a]] = val
-        merged = {}
-        for i, child in enumerate(children):
-            vi = var_sum[child]
-            if vi <= 0.0:
-                factor = 1.0
-            else:
-                factor = 1.0 + (cross[i].sum() - cross[i, i]) / vi
-            for a, ca in leaf_cov[child].items():
-                merged[a] = ca * factor
-        var_sum[node] = max(float(cross.sum()), 0.0)
-        leaf_cov[node] = merged
-    return leaves, cov
+    return tree.leaves(), _second_moments(tree, leaf_variances, copula_corrs)[1]
 
 
 @dataclass(frozen=True)

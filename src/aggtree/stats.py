@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._rng import node_stream
+from .mra import _snap
 
 __all__ = [
     "Ecdf",
@@ -166,12 +167,12 @@ def conditional_independence_gap(block, left_cols, right_cols, sum_cols=None,
     value pairs; the result is the max across strata, with a seeded
     bootstrap standard error from per-stratum row resampling.
     """
-    x = np.round(np.asarray(block, dtype=float), 9)
+    x = _snap(np.asarray(block, dtype=float))
     left_cols = list(left_cols)
     right_cols = list(right_cols)
     if sum_cols is None:
         sum_cols = left_cols + right_cols
-    sums = np.round(x[:, list(sum_cols)].sum(axis=1), 9)
+    sums = _snap(x[:, list(sum_cols)].sum(axis=1))
     values, counts = np.unique(sums, return_counts=True)
     strata = {}
     parts = []

@@ -4,6 +4,7 @@ Everything runs in process through main(argv) so the tests see real exit
 codes and can capture stdout/stderr without spawning subprocesses.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -575,11 +576,13 @@ class TestExperimentPresets:
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n", "1", "--n must be >= 3 for exp-3.4, got 1"),
-        ("--n", "2", "--n must be >= 3 for exp-3.4, got 2"),
+        ("--n", "1", "--n must be >= 5 for exp-3.4, got 1"),
+        ("--n", "2", "--n must be >= 5 for exp-3.4, got 2"),
+        ("--n", "3", "--n must be >= 5 for exp-3.4, got 3"),
+        ("--n", "4", "--n must be >= 5 for exp-3.4, got 4"),
         ("--n", "-1", "--n must be a nonnegative integer, got -1"),
         ("--seed", "-1", "--seed must be a nonnegative integer, got -1"),
-    ], ids=["n1", "n2", "n-neg", "seed-neg"])
+    ], ids=["n1", "n2", "n3", "n4", "n-neg", "seed-neg"])
     def test_four_leaf_preset_checks_flags_first(self, flag, value, message,
                                                  tmp_path, capsys):
         out = tmp_path / "exp"
@@ -587,6 +590,20 @@ class TestExperimentPresets:
                    flag, value])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("preset, grid", [
+        ("exp-5.sym8", "nan"),
+        ("exp-5.ex2", "0,2"),
+        ("exp-5.ex3", "0,x"),
+    ], ids=["nan", "above-one", "not-a-number"])
+    def test_rho_grid_is_checked_first(self, preset, grid, tmp_path, capsys):
+        out = tmp_path / "exp"
+        rc = main(["experiment", preset, "--out-dir", str(out),
+                   f"--rho-grid={grid}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --rho-grid must be numbers in [-1, 1], got {grid!r}\n")
         assert not any(out.iterdir())
 
     def test_regroup_preset(self, tmp_path, capsys):
@@ -667,3 +684,45 @@ class TestExperimentPresets:
             entry = dict(zip(header, row))
             assert float(entry["min"]) == pytest.approx(-1.0, abs=1e-3)
             assert float(entry["max"]) == pytest.approx(1.0, abs=1e-3)
+
+
+# sha256 of every output file, recorded before presets stopped writing their
+# own files; only presets free of LAPACK/BLAS calls, whose last bits may vary
+# by CPU
+FROZEN_PRESET_OUTPUTS = {
+    "exp-4.3": {
+        "first_grouping.csv": "17e4fbeab0a0c9c09c575707fec85dbdceb7bd2511fc5c30c7bba142123b1860",
+        "second_grouping.csv": "9c2dbeb691b248e97d616d82ed06e301246ffab7cbe1c37181ad27356bb98305",
+        "summary.txt": "2e48ad1ce415fe37c62c70fcd06fa8194e6e7248b6c263b88283cf65d0c26c96",
+    },
+    "exp-5.ex1": {
+        "limits.csv": "05029aeb2c6a78dc50a3ca6234c61b5ab831412500a13d4f15f75eff1723ec9d",
+        "summary.txt": "7f2d64497fdb9463a0734c42a8d25a6fe9d438be992dc434b67926ed971e18d7",
+    },
+    "exp-5.ex2": {
+        "lengths.csv": "8d010b67c23bdc94320f6836763b2942391e4eb3d63efe1541461a505ed2358f",
+        "summary.txt": "397e5809de39fad682fc55a5f146b0b6abfb644b2ef3c286df5f191a48585c8b",
+    },
+    "exp-5.ex3": {
+        "intervals.csv": "8fdd2bb4b969f3b3bac66fcf0caa0abb2e079f0e866b65ae923de9dc74225fbf",
+        "summary.txt": "477841ad6ee52837b06f94ff0b2c603d5e4382095c48782ef7f6754fa9f84fa2",
+    },
+}
+FROZEN_TREEDEP_STDOUT = "653831af46e96f7f9c888648724d2528cc7b72bc9435563c70396cfa20915f08"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_preset_outputs_are_frozen(four_leaf_config, config_file, tmp_path,
+                                   capsys):
+    for preset, digests in FROZEN_PRESET_OUTPUTS.items():
+        out = tmp_path / preset
+        assert main(["experiment", preset, "--out-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "summary.txt").read_text()
+        assert {path.name: sha256(path.read_bytes())
+                for path in out.iterdir()} == digests, preset
+    assert main(["treedep", config_file(four_leaf_config)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == FROZEN_TREEDEP_STDOUT
