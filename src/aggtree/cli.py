@@ -456,7 +456,7 @@ def _matrix_table(labels, matrix, means=None):
     return header, rows
 
 
-def _preset_four_leaf(n, seed, _grid):
+def _preset_four_leaf(n, seed):
     n = _need(10**6, n, "n")
     seed = _need(1234, seed, "seed")
     model = _four_leaf_model()
@@ -481,7 +481,7 @@ def _preset_four_leaf(n, seed, _grid):
     ]
 
 
-def _preset_regroup(_n, _seed, _grid):
+def _preset_regroup():
     first, second, display = _regroup_models()
     covs = {}
     for name, model in (("first", first), ("second", second)):
@@ -496,7 +496,7 @@ def _preset_regroup(_n, _seed, _grid):
     ]
 
 
-def _preset_scale_limits(_n, _seed, _grid):
+def _preset_scale_limits():
     big = 1e6
     rows = []
     errors = {"case1": 0.0, "case2": 0.0, "case3": 0.0}
@@ -523,8 +523,8 @@ def _preset_scale_limits(_n, _seed, _grid):
         (f"{case}_max_error", error) for case, error in errors.items()]
 
 
-def _preset_interval_length(_n, _seed, grid):
-    grid = grid if grid is not None else [round(-1.0 + 0.1 * k, 10) for k in range(21)]
+def _preset_interval_length(rho_grid):
+    grid = rho_grid or [round(-1.0 + 0.1 * k, 10) for k in range(21)]
     rows = []
     max_length = -math.inf
     for r12 in grid:
@@ -540,8 +540,8 @@ def _preset_interval_length(_n, _seed, grid):
     ]
 
 
-def _preset_interval_position(_n, _seed, grid):
-    grid = grid if grid is not None else [round(-1.0 + 0.25 * k, 10) for k in range(9)]
+def _preset_interval_position(rho_grid):
+    grid = rho_grid or [round(-1.0 + 0.25 * k, 10) for k in range(9)]
     rows = []
     off_center = 0.0
     comonotone_width = 0.0
@@ -559,7 +559,7 @@ def _preset_interval_position(_n, _seed, grid):
     ]
 
 
-def _preset_insurers(_n, _seed, _grid):
+def _preset_insurers():
     sqrt2 = math.sqrt(2.0)
     row1, iv1 = _interval_row(1.0, sqrt2, 1.0, -1.0 / sqrt2, 0.0)
     row2, iv2 = _interval_row(1.0, 1.0, sqrt2, 1.0, -1.0 / sqrt2)
@@ -580,8 +580,8 @@ def _preset_insurers(_n, _seed, _grid):
     ]
 
 
-def _preset_symmetric(_n, _seed, grid):
-    grid = grid if grid is not None else [round(-0.9 + 0.3 * k, 10) for k in range(7)]
+def _preset_symmetric(rho_grid):
+    grid = rho_grid or [round(-0.9 + 0.3 * k, 10) for k in range(7)]
     pairs = {"pair13": ("1.1.1", "1.2.1"), "pair18": ("1.1.1", "2.2.2")}
     degree = {"pair13": 2, "pair18": 3}
     rows = []
@@ -607,16 +607,17 @@ def _preset_symmetric(_n, _seed, grid):
     ]
 
 
-# preset(n, seed, grid) -> (tables, summary): tables maps a file name to
-# (header, rows), summary is the (key, value) lines of summary.txt
+# name -> (preset, the flags it reads); preset(**flags) -> (tables, summary):
+# tables maps a file name to (header, rows), summary is the (key, value)
+# lines of summary.txt
 PRESETS = {
-    "exp-3.4": _preset_four_leaf,
-    "exp-4.3": _preset_regroup,
-    "exp-5.ex1": _preset_scale_limits,
-    "exp-5.ex2": _preset_interval_length,
-    "exp-5.ex3": _preset_interval_position,
-    "exp-5.ex4": _preset_insurers,
-    "exp-5.sym8": _preset_symmetric,
+    "exp-3.4": (_preset_four_leaf, ("n", "seed")),
+    "exp-4.3": (_preset_regroup, ()),
+    "exp-5.ex1": (_preset_scale_limits, ()),
+    "exp-5.ex2": (_preset_interval_length, ("rho_grid",)),
+    "exp-5.ex3": (_preset_interval_position, ("rho_grid",)),
+    "exp-5.ex4": (_preset_insurers, ()),
+    "exp-5.sym8": (_preset_symmetric, ("rho_grid",)),
 }
 
 
@@ -633,10 +634,15 @@ def _rho_grid(text):
 
 def cmd_experiment(args):
     """Run a preset, then write its tables and summary.txt; nothing on failure."""
+    preset, reads = PRESETS[args.preset]
+    for flag in ("n", "seed", "rho_grid"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ConfigError(f"--{flag.replace('_', '-')} is not used by {args.preset}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _rho_grid(args.rho_grid) if args.rho_grid else None
-    tables, summary = PRESETS[args.preset](args.n, args.seed, grid)
+    flags = {"n": args.n, "seed": args.seed,
+             "rho_grid": None if args.rho_grid is None else _rho_grid(args.rho_grid)}
+    tables, summary = preset(**{flag: flags[flag] for flag in reads})
     for name, (header, rows) in tables.items():
         with open(out_dir / name, "w", newline="") as handle:
             _write_csv(handle, header, rows)
@@ -701,10 +707,11 @@ def _build_parser():
     p = sub.add_parser("experiment", help="run a canned experiment preset")
     p.add_argument("preset", choices=sorted(PRESETS))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="exp-3.4 only")
+    p.add_argument("--seed", type=int, default=None, help="exp-3.4 only")
     p.add_argument("--rho-grid", default=None,
-                   help="comma-separated grid override for grid-based presets")
+                   help="comma-separated grid override for exp-5.ex2, exp-5.ex3 "
+                   "and exp-5.sym8")
     p.set_defaults(func=cmd_experiment)
     return parser
 

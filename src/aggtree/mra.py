@@ -7,7 +7,10 @@ the plain one with its atoms permuted so that atom k holds child 1's row
 k. Row t keeps atom t mod n of its set, which makes the kept rows
 independent, and only that atom is built, from stable ranks counted in
 O(n). The cost grows by a factor of n per branching level, so runs are
-gated by an explicit generation budget.
+gated by an explicit generation budget. Memory does not grow with it:
+every branching node builds its rows in chunks of about ``_CHUNK_ELEMS``
+child rows, so each tree level holds about that many values per leaf (n,
+if that is larger) whatever the depth or the budget.
 
 Also provides the exact tree-dependent pmf for discrete models on binary
 trees, the validation target for the sampler, built on arrays: a points
@@ -35,8 +38,10 @@ __all__ = [
 ]
 
 _SNAP_DECIMALS = 9
-# deepest-level draws per chunk of run_mra rows; bounds the working set
-_CHUNK_ELEMS = 2 * 10**7
+# child rows per chunk of a branching node's rows; bounds the working set.
+# 2**14 ran fastest of 2**12..2**16 at n=100: larger chunks made glibc trim
+# and refault the heap on every chunk.
+_CHUNK_ELEMS = 2**14
 
 
 def reorder_fixed_first(child_atoms, copula_samples):
@@ -90,27 +95,36 @@ def _kept_atoms(sums, comps, u, k):
     return sum(parts[1:], parts[0]), comp
 
 
-def _iid_rows(model, streams, node, rows, n, start=0):
+def _iid_rows(model, streams, node, rows, n):
     """``rows`` i.i.d. realizations of the subtree below ``node``.
 
     Returns (sums, composition) with shapes (rows,) and (rows, M). At a
-    branching node, row t is atom (start + t) mod n of its own fixed-first
+    branching node, row t is atom t mod n of its own fixed-first
     reordering of n fresh rows of every child, so each branching level
-    multiplies the draws below it by n.
+    multiplies the draws below it by n. Rows are built in chunks of
+    max(1, ``_CHUNK_ELEMS`` // n), so a chunk asks each child for at most
+    max(``_CHUNK_ELEMS``, n) rows, which the child chunks in turn. Each
+    (purpose, node) stream is read by its own node only, in row order, so
+    the chunking does not change the output.
     """
     tree = model.tree
     if tree.arity(node) == 0:
         x = model.marginals[node].sample(rows, streams("marginal", node))
         return x, x[:, None]
     children = tree.children(node)
-    kids = [_iid_rows(model, streams, child, rows * n, n) for child in children]
-    u = model.copulas[node].sample(rows * n, streams("copula", node))
-    return _kept_atoms(
-        [s.reshape(rows, n) for s, _ in kids],
-        [c.reshape(rows, n, -1) for _, c in kids],
-        u.reshape(rows, n, len(children)),
-        (start + np.arange(rows)) % n,
-    )
+    step = max(1, _CHUNK_ELEMS // n)
+    sums, comp = np.empty(rows), np.empty((rows, tree.leaf_count(node)))
+    for s in range(0, rows, step):
+        r = min(step, rows - s)
+        kids = [_iid_rows(model, streams, child, r * n, n) for child in children]
+        u = model.copulas[node].sample(r * n, streams("copula", node))
+        sums[s:s + r], comp[s:s + r] = _kept_atoms(
+            [x.reshape(r, n) for x, _ in kids],
+            [c.reshape(r, n, -1) for _, c in kids],
+            u.reshape(r, n, len(children)),
+            (s + np.arange(r)) % n,
+        )
+    return sums, comp
 
 
 class MraOutput:
@@ -143,9 +157,10 @@ def run_mra(model, n, seed, budget=10**8):
     A leaf below d branching nodes draws n**(d + 1) values. Refuses to run,
     before drawing anything, when the sum of these counts over all leaves
     exceeds ``budget``, which must be finite and >= 0; the error carries
-    that count, an exact int, as ``estimate``. Rows are built in chunks of
-    about ``_CHUNK_ELEMS`` deepest-level draws; the chunking does not change
-    the output.
+    that count, an exact int, as ``estimate``. Every tree level is built in
+    chunks, so each level holds about max(``_CHUNK_ELEMS``, n) values per
+    leaf whatever the depth or ``budget``; the chunking does not change the
+    output.
     """
     model.require_valid()
     if n < 2:
@@ -165,13 +180,7 @@ def run_mra(model, n, seed, budget=10**8):
             cache[key] = node_stream(seed, purpose, node)
         return cache[key]
 
-    out = np.empty((n, len(leaves)))
-    levels = max(len(leaf) for leaf in leaves)
-    step = max(1, _CHUNK_ELEMS // n ** levels)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        out[start:stop] = _iid_rows(model, streams, (), stop - start, n, start)[1]
-    return MraOutput(model, out, leaves)
+    return MraOutput(model, _iid_rows(model, streams, (), n, n)[1], leaves)
 
 
 class DiscreteJointPmf:

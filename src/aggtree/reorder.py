@@ -102,7 +102,7 @@ def reorder_children(child_atoms, copula_samples):
         pick[stable_argsort(u[:, i])] = stable_argsort(child.sums)
         parts[:, i] = child.sums[pick]
         width = child.composition.shape[1]
-        comp[:, col:col + width] = child.composition[pick]
+        comp[:, col:col + width] = child.composition.take(pick, axis=0)
         col += width
     leaf_order = tuple(x for child in child_atoms for x in child.leaf_order)
     return NodeAtoms(child_atoms[0].node[:-1], sum(parts.T[1:], parts[:, 0]),

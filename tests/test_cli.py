@@ -596,7 +596,8 @@ class TestExperimentPresets:
         ("exp-5.sym8", "nan"),
         ("exp-5.ex2", "0,2"),
         ("exp-5.ex3", "0,x"),
-    ], ids=["nan", "above-one", "not-a-number"])
+        ("exp-5.ex2", ""),
+    ], ids=["nan", "above-one", "not-a-number", "empty"])
     def test_rho_grid_is_checked_first(self, preset, grid, tmp_path, capsys):
         out = tmp_path / "exp"
         rc = main(["experiment", preset, "--out-dir", str(out),
@@ -605,6 +606,23 @@ class TestExperimentPresets:
         assert capsys.readouterr().err == (
             f"error: --rho-grid must be numbers in [-1, 1], got {grid!r}\n")
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("preset, flag", [
+        ("exp-3.4", "--rho-grid"),
+        ("exp-4.3", "--n"), ("exp-4.3", "--seed"), ("exp-4.3", "--rho-grid"),
+        ("exp-5.ex1", "--n"), ("exp-5.ex1", "--seed"), ("exp-5.ex1", "--rho-grid"),
+        ("exp-5.ex2", "--n"), ("exp-5.ex2", "--seed"),
+        ("exp-5.ex3", "--n"), ("exp-5.ex3", "--seed"),
+        ("exp-5.ex4", "--n"), ("exp-5.ex4", "--seed"), ("exp-5.ex4", "--rho-grid"),
+        ("exp-5.sym8", "--n"), ("exp-5.sym8", "--seed"),
+    ])
+    def test_unused_flag_is_refused(self, preset, flag, tmp_path, capsys):
+        out = tmp_path / "exp"
+        value = {"--n": "5", "--seed": "3", "--rho-grid": "0.5"}[flag]
+        rc = main(["experiment", preset, "--out-dir", str(out), flag, value])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is not used by {preset}\n")
+        assert not out.exists()
 
     def test_regroup_preset(self, tmp_path, capsys):
         out = tmp_path / "exp"

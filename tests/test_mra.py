@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,11 @@ from aggtree import (
     tree_dependent_pmf,
     tv_distance,
 )
+from aggtree.cli import model_from_config
 from aggtree.errors import UnsupportedModelError
 from aggtree.mra import _kept_atoms, _rectangles
+
+MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 
 X1 = np.array([1.0, 4.0, 2.0])
 X2 = np.array([9.0, 0.0, 3.0])
@@ -132,10 +137,33 @@ class TestRunMra:
 
     def test_chunking_does_not_change_output(self, four_leaf_model,
                                              monkeypatch):
-        full = run_mra(four_leaf_model, 100, seed=8)
-        monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", 5000)
-        chunked = run_mra(four_leaf_model, 100, seed=8)
-        np.testing.assert_array_equal(full.realizations, chunked.realizations)
+        # every node reads its own streams in row order, so any chunk size,
+        # down to one row per chunk at every level, gives the same rows; the
+        # six-leaf model is ternary with discrete leaves, so ranks tie
+        config = json.loads((MODELS / "six_leaf_discrete.json").read_text())
+        six_leaf = model_from_config(config)[0]
+        cases = [(four_leaf_model, 100, (5000,)),
+                 (four_leaf_model, 30, (1, 7, 50)),
+                 (six_leaf, 30, (1, 7, 50))]
+        for model, n, chunks in cases:
+            monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", 10**12)
+            whole = run_mra(model, n, seed=8).realizations
+            for chunk in chunks:
+                monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", chunk)
+                chunked = run_mra(model, n, seed=8).realizations
+                np.testing.assert_array_equal(
+                    whole, chunked, err_msg=f"n={n}, chunk={chunk}")
+
+    def test_working_set_does_not_grow_with_n(self, four_leaf_model):
+        # at n = 200 each leaf draws 200**3 values (61 MB); built in one
+        # piece, the traced peak was 489 MB
+        tracemalloc.start()
+        try:
+            run_mra(four_leaf_model, 200, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_depth_one_moments(self):
         tree = RootedTree.from_nested({"children": [{}, {}]})
