@@ -3,11 +3,11 @@
 A Gaussian aggregation tree pins the variance of every partial sum and
 the covariance between sibling partial sums. On the leaf covariance
 matrix this induces one affine constraint per branching node and child
-pair; sibling leaves get their entry fixed outright. The feasible bodies
-are the PSD matrices satisfying those constraints. The attainable range
+pair; sibling leaves get their entry fixed outright. The attainable range
 of a single leaf-pair correlation is the optimum of a small semidefinite
-program over that set, solved by one log-det barrier path-following run
-that returns a feasible witness and a certified duality gap.
+program over the PSD matrices meeting those constraints, solved by one
+log-det barrier run that returns a feasible witness and a certified
+duality gap.
 """
 import math
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedModelError
 from .gaussian import node_sum_variances, tree_dependent_covariance
-from .tree import RootedTree, node_id
+from .tree import RootedTree, node_id, node_label
 
 __all__ = [
     "CovarianceConstraintSet",
@@ -69,9 +69,6 @@ class CovarianceConstraintSet:
             raise ValueError("objective must name two distinct leaves")
         return (i, j)
 
-    def tree_dep_matrix(self):
-        return self.tree_dep.copy()
-
     def residual(self, matrix):
         """Largest absolute constraint violation of ``matrix``."""
         m = np.asarray(matrix, dtype=float)
@@ -94,6 +91,9 @@ def build_constraints(tree, leaf_variances, copula_corrs, objective=None):
     leaves = tree.leaves()
     index = {leaf: k for k, leaf in enumerate(leaves)}
     variances = [float(leaf_variances[leaf]) for leaf in leaves]
+    for leaf, v in zip(leaves, variances):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"leaf {node_label(leaf)}: variance must be finite and > 0")
     var_sum = node_sum_variances(tree, leaf_variances, copula_corrs)
     fixed = {}
     sums = []
@@ -120,6 +120,8 @@ def build_constraints(tree, leaf_variances, copula_corrs, objective=None):
 def symmetric_tree_constraints(depth, rho, objective=None):
     """Constraints of the symmetric binary tree with unit leaf variances
     and the same pairwise correlation ``rho`` at every branching node."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     tree = RootedTree.symmetric_binary(depth)
     corr = np.array([[1.0, rho], [rho, 1.0]])
     leaf_vars = {leaf: 1.0 for leaf in tree.leaves()}
@@ -165,59 +167,56 @@ _T_GROWTH = 20.0
 _CENTERED = 0.25
 
 
-def _null_basis(constraints):
-    """Orthonormal basis of the directions along which every constraint
-    holds: zero-diagonal symmetric matrices that move no fixed entry and
-    no constrained sum. Each off-diagonal entry is in at most one group."""
-    dim = constraints.dim
-    rows, cols = np.triu_indices(dim, 1)
-    slot = {pair: k for k, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
-    groups = [[e] for e in constraints.fixed] + [e for e, _ in constraints.sums]
-    pinned = np.zeros((len(groups), len(rows)))
-    for g, entries in enumerate(groups):
-        pinned[g, [slot[e] for e in entries]] = 1.0
-    free = np.linalg.svd(pinned)[2][len(groups):]
-    basis = np.zeros((len(free), dim, dim))
-    basis[:, rows, cols] = basis[:, cols, rows] = free / math.sqrt(2.0)
-    return basis
+def _sym(m):
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _face(base, basis):
+def _face(constraints):
     """Facial reduction onto the range of the tree dependent matrix
-    (Drusvyatskiy & Wolkowicz 2017). With N its null space, every X of the
-    affine set has <N N^T, X> = 0 if <N N^T, B_k> = 0 for all k, so a PSD
-    X has X N = 0; this is checked, not assumed. Returns the basis
-    restricted to {z : B(z) N = 0} and, for a frame V of the range,
-    V^T base V (positive definite) and V^T B_k V."""
-    lam, vec = np.linalg.eigh(base)
+    (Drusvyatskiy & Wolkowicz 2017): a PSD X of the affine set has X N = 0,
+    N the null space, if N N^T is a combination of the symmetric A_k of
+    <A_k, X> = b_k; this is checked, not assumed. Returns a frame V of the
+    range and orthonormal rows spanning the flattened V^T A_k V."""
+    dim = constraints.dim
+    groups = [[e] for e in constraints.fixed] + [e for e, _ in constraints.sums]
+    stack = np.zeros((dim + len(groups), dim, dim))
+    for k, entries in enumerate([[(i, i)] for i in range(dim)] + groups):
+        stack[(k, *zip(*entries))] = 1.0
+    stack = _sym(stack)
+    lam, vec = np.linalg.eigh(constraints.tree_dep)
+    if lam[0] < -_FACE_TOL * lam[-1]:
+        raise ValueError(f"tree_dep is not PSD: eigenvalue {lam[0]:.3g}")
     null = lam <= _FACE_TOL * lam[-1]
-    n = vec[:, null]
-    if np.abs(np.tensordot(basis, n @ n.T, axes=2)).max(initial=0.0) > _FACE_TOL:
+    nn = (vec[:, null] @ vec[:, null].T).ravel()
+    a = stack.reshape(len(stack), -1).T  # columns vec(A_k)
+    if null.any() and np.linalg.norm(nn - a @ np.linalg.lstsq(a, nn)[0]) > _FACE_TOL:
         raise UnsupportedModelError(
             "the tree dependent covariance is singular, but the constraints "
             "do not force every feasible covariance onto its range")
-    u, s, _ = np.linalg.svd((basis @ n).reshape(len(basis), n.size))
-    basis = np.tensordot(u[:, np.sum(s > _FACE_TOL):].T, basis, axes=1)
     frame = vec[:, ~null]
-    return basis, frame.T @ base @ frame, frame.T @ basis @ frame
+    _, s, rows = np.linalg.svd((frame.T @ stack @ frame).reshape(len(stack), -1),
+                               full_matrices=False)
+    return frame, rows[s > _FACE_TOL * s[0]]
 
 
 def extremal_correlation(constraints, direction, bracket_tol=1e-7):
     """Largest or smallest attainable correlation for the objective pair.
 
     One log-det barrier solve (Boyd & Vandenberghe, Convex Optimization,
-    11.3) over X(z) = tree_dep + sum_k z_k B_k: damped Newton steps on
-    ``-t*(+/-X_ij(z)) - log det X(z)`` from z = 0, with t multiplied by a
-    constant whenever the iterate is centered. Each Newton direction also
-    gives a dual feasible matrix, and the solve stops once that certified
-    duality gap is at most ``bracket_tol`` on the correlation scale.
-    Degenerate trees are reduced to their face first; an iterate within
-    1e-6 of +/-1 is projected onto correlation exactly +/-1, which is the
-    answer when the projection passes ``psd_feasible``. The witness meets
-    every constraint to rounding and passes ``psd_feasible``. Status is
-    "budget_exhausted" when the Newton step cap or rounding ends the solve
-    before the gap target, else "optimal"; ``info`` holds ``direction``,
-    the Newton step count ``iterations`` and the certified ``gap``.
+    10.2 and 11.3) from the tree dependent matrix: damped Newton steps on
+    ``-t*(+/-X_ij) - log det X`` under the tree constraints <A_k, X> = b_k,
+    t growing whenever the iterate is centered. With X = L L^T, a step
+    L U L^T takes U as the scaled gradient projected by a QR off the
+    L^T A_k L; an undamped min-norm move keeps each iterate on the affine
+    set. The solve stops once the duality gap the Newton direction
+    certifies is at most ``bracket_tol`` on the correlation scale.
+    Degenerate trees are reduced to their face first. An iterate within
+    1e-6 of +/-1 moves in the same metric onto exactly +/-1, the answer if
+    that passes ``psd_feasible``. The witness meets every constraint to
+    rounding and passes ``psd_feasible``. Status is "budget_exhausted" when
+    the Newton step cap or rounding ends the solve before the gap target,
+    else "optimal"; ``info`` holds ``direction``, the Newton step count
+    ``iterations`` and the certified ``gap``.
     """
     if constraints.objective is None:
         raise ValueError("constraint set has no objective pair")
@@ -227,54 +226,54 @@ def extremal_correlation(constraints, direction, bracket_tol=1e-7):
         raise ValueError(f"bracket_tol must be finite and > 0, got {bracket_tol!r}")
     i, j = constraints.objective
     scale = math.sqrt(constraints.variances[i] * constraints.variances[j])
-    base = constraints.tree_dep_matrix()
-    basis, y0, yb = _face(base, _null_basis(constraints))
+    frame, cons = _face(constraints)
+    rank = len(frame.T)
+    mats = cons.reshape(-1, rank, rank)
     sign = 1.0 if direction == "max" else -1.0
-    slope = basis[:, i, j]
+    obj = sign * _sym(np.outer(frame[i], frame[j])).ravel()  # X_ij on the face
     info = {"direction": direction, "iterations": 0, "gap": 0.0}
 
     def result(x, status, gap):
         info["gap"] = float(gap / scale)
         return ExtremalResult(x[i, j] / scale, x[i, j], x, status, info)
 
-    if np.linalg.norm(slope) <= _FACE_TOL:
-        return result(base, "optimal", 0.0)
-    z = np.zeros(len(basis))
-    t = len(y0) / scale
+    if np.linalg.norm(obj - cons.T @ (cons @ obj)) <= _FACE_TOL:
+        return result(constraints.tree_dep.copy(), "optimal", 0.0)
+    y = last = start = frame.T @ constraints.tree_dep @ frame
+    grad = np.stack([obj, np.eye(rank).ravel()], 1)
+    w = frame[i] - sign * constraints.variances[i] / scale * frame[j]  # X w = 0 at +/-1
+    t = rank / scale
     gap = math.inf
-    x = base
     try:
         for steps in range(_MAX_NEWTON_STEPS + 1):
-            # Rounding near machine precision raises; keep the last iterate.
-            inv = np.linalg.inv(np.linalg.cholesky(y0 + np.tensordot(z, yb, axes=1)))
-            x = base + np.tensordot(z, basis, axes=1)
+            low = np.linalg.cholesky(y)
+            q, r = np.linalg.qr((low.T @ mats @ low).reshape(len(cons), -1).T)
+            fix = q @ np.linalg.solve(r.T, cons @ (start - y).ravel())
+            y = last = y + low @ fix.reshape(rank, rank) @ low.T
             info["iterations"] = steps
-            scaled = inv @ yb @ inv.T
-            flat = scaled.reshape(len(basis), -1)
-            hess = flat @ flat.T
-            if sign * x[i, j] >= (1.0 - 1e-6) * scale:
-                # Shortest move, in the Hessian metric, onto X w = 0.
-                w = np.zeros(len(x))
-                w[i], w[j] = 1.0 / math.sqrt(x[i, i]), -sign / math.sqrt(x[j, j])
-                move = np.linalg.solve(hess, basis @ w)
-                pull = np.linalg.lstsq((basis @ w).T @ move, x @ w, rcond=None)[0]
-                snap = x - np.tensordot(move @ pull, basis, axes=1)
+            if sign * (frame[i] @ y @ frame[j]) >= (1.0 - 1e-6) * scale:
+                # The shortest step L U L^T onto X w = 0 has U p = -p, p ~ L^T w.
+                p = low.T @ w / np.linalg.norm(low.T @ w)
+                rows = _sym(np.eye(rank)[:, :, None] * p).reshape(rank, -1)
+                u = np.linalg.lstsq(rows - rows @ q @ q.T, -p, rcond=_FACE_TOL)[0]
+                snap = _sym(frame @ (y + low @ u.reshape(rank, rank) @ low.T) @ frame.T)
                 if abs(snap[i, j] - sign * scale) <= 1e-12 * scale:
                     snap[i, j] = snap[j, i] = sign * scale
                     if psd_feasible(snap)[0]:
                         return result(snap, "optimal", 0.0)
-            trace = np.trace(scaled, axis1=1, axis2=2)
+            grad[:, 0] = (low.T @ obj.reshape(rank, rank) @ low).ravel()
+            toward, center = _sym((grad - q @ (q.T @ grad)).T.reshape(2, rank, rank))
             while True:
-                dz = np.linalg.solve(hess, t * sign * slope + trace)
-                s = np.linalg.eigvalsh(np.tensordot(dz, scaled, axes=1))
+                u = t * toward + center
+                s = np.linalg.eigvalsh(u)
                 if s[-1] <= 1.0:
-                    gap = (len(y0) - s.sum()) / t
+                    gap = (rank - s.sum()) / t
                     if gap <= bracket_tol * scale:
-                        return result(x, "optimal", gap)
+                        return result(_sym(frame @ y @ frame.T), "optimal", gap)
                 if s @ s > _CENTERED or steps == _MAX_NEWTON_STEPS:
                     break
                 t *= _T_GROWTH
-            z = z + dz / (1.0 + math.sqrt(s @ s))
-    except np.linalg.LinAlgError:
+            y = y + low @ u @ low.T / (1.0 + math.sqrt(s @ s))
+    except np.linalg.LinAlgError:  # rounding near machine precision; keep last iterate
         pass
-    return result(x, "budget_exhausted", gap)
+    return result(_sym(frame @ last @ frame.T), "budget_exhausted", gap)

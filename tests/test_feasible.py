@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestBuildConstraints:
     def test_unknown_leaf_rejected(self):
         with pytest.raises(Exception):
             three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3, ("1.3", "2"))
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_leaf_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match=r"leaf 1\.1: variance"):
+            three_leaf_constraints(variance, 4.0, 2.25, 0.6, 0.3)
+
+    @pytest.mark.parametrize("rho", [1.5, -1.5, math.nan])
+    def test_symmetric_rho_outside_unit_interval_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            symmetric_tree_constraints(2, rho, objective=("1.1", "2.1"))
 
 
 class TestPsdFeasible:
@@ -221,6 +232,18 @@ class TestExtremalCorrelation:
         with pytest.raises(UnsupportedModelError, match="singular"):
             extremal_correlation(cs, "min")
 
+    @pytest.mark.parametrize("rho", [1.5, -1.5])
+    def test_non_psd_tree_dep_is_rejected(self, rho):
+        # a copula "correlation" outside [-1, 1] makes tree_dep indefinite;
+        # the search must not report a correlation beyond +/-1 as optimal
+        tree = RootedTree.symmetric_binary(2)
+        corr = np.array([[1.0, rho], [rho, 1.0]])
+        cs = build_constraints(tree, {leaf: 1.0 for leaf in tree.leaves()},
+                               {node: corr for node in tree.branching()},
+                               objective=("1.1", "2.1"))
+        with pytest.raises(ValueError, match="PSD"):
+            extremal_correlation(cs, "min")
+
     def test_symmetric_grid_witnesses_carry_certificates(self):
         for rho in [round(-0.9 + 0.3 * k, 10) for k in range(7)]:
             for pair in (("1.1.1", "1.2.1"), ("1.1.1", "2.2.2")):
@@ -286,3 +309,44 @@ class TestConstraintSetType:
         )
         assert cs.dim == 3
         assert cs.objective == (0, 2)
+
+
+class TestSymmetricTreeLaw:
+    """Two leaves of the symmetric binary tree that meet k levels up have
+    the attainable correlation interval {rho} for k = 1 and
+    [cos(min(k * arccos(rho), pi)), 1] for k >= 2, at any depth."""
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.3, 0.5, 0.8, 0.9, 0.95])
+    def test_depth4_every_meeting_level(self, rho):
+        depth = 4
+        for k in range(1, depth + 1):
+            other = "1." * (depth - k) + "2" + ".1" * (k - 1)
+            cs = symmetric_tree_constraints(depth, rho, objective=("1.1.1.1", other))
+            if k == 1:
+                law = (rho, rho)
+            else:
+                law = (math.cos(min(k * math.acos(rho), math.pi)), 1.0)
+            for direction, bound in zip(("min", "max"), law):
+                res = extremal_correlation(cs, direction)
+                assert res.status == "optimal"
+                assert res.value == pytest.approx(bound, abs=1e-6), (k, direction)
+                assert cs.residual(res.witness) <= 1e-9
+                assert psd_feasible(res.witness)[0]
+            # the upper end is reached by the exact move onto correlation 1
+            assert k == 1 or res.value == 1.0
+
+    def test_depth6_search_is_small(self):
+        # 64 leaves; leaves 1 and 3 meet two levels up, so the law gives
+        # 2 * 0.6**2 - 1 = -0.28
+        cs = symmetric_tree_constraints(
+            6, 0.6, objective=("1.1.1.1.1.1", "1.1.1.1.2.1"))
+        tracemalloc.start()
+        try:
+            res = extremal_correlation(cs, "min")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(-0.28, abs=1e-6)
+        assert cs.residual(res.witness) <= 1e-9
+        assert peak <= 64 * 2**20
