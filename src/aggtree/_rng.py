@@ -4,9 +4,30 @@ Every sampling routine receives a counter-based generator derived from a
 single integer seed plus a (purpose, node path) key, so results do not
 depend on scheduling or on how many values other nodes consume.
 """
+import importlib.util
+import sys
+
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
+
+
+def _special_ufuncs():
+    """scipy.special's compiled ufuncs without the package ``__init__``, whose
+    array-API layer costs about 0.3 s of every cold start. This relies on
+    ``_ufuncs`` importing only sibling submodules, never a name defined in
+    ``scipy/special/__init__.py``. A package already loaded is used as is."""
+    name = "scipy.special"
+    if name in sys.modules:
+        return importlib.import_module(name + "._ufuncs")
+    sys.modules[name] = importlib.util.module_from_spec(importlib.util.find_spec(name))
+    try:
+        return importlib.import_module(name + "._ufuncs")
+    finally:
+        del sys.modules[name]
+
+
+_ufuncs = _special_ufuncs()
+ndtr, ndtri, owens_t = _ufuncs.ndtr, _ufuncs.ndtri, _ufuncs.owens_t
 
 _PURPOSES = {"marginal": 1, "copula": 2, "bootstrap": 3, "subsample": 4, "null": 5}
 

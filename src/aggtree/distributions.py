@@ -8,9 +8,8 @@ generator objects, see :mod:`aggtree._rng`.
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
-from ._rng import standard_normals
+from ._rng import ndtr, ndtri, owens_t, standard_normals
 from .errors import UnsupportedModelError
 
 

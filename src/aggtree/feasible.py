@@ -224,6 +224,11 @@ def extremal_correlation(constraints, direction, bracket_tol=1e-7):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
         raise ValueError(f"bracket_tol must be finite and > 0, got {bracket_tol!r}")
+    # The search keeps the constraint values of its start, tree_dep. Sets from
+    # build_constraints miss by at most 1e-13 of the largest value, residual(0).
+    off = constraints.residual(constraints.tree_dep)
+    if not off <= 1e-9 * constraints.residual(np.zeros_like(constraints.tree_dep)):
+        raise ValueError(f"tree_dep does not meet the constraints: residual {off:.3g}")
     i, j = constraints.objective
     scale = math.sqrt(constraints.variances[i] * constraints.variances[j])
     frame, cons = _face(constraints)

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from ._rng import node_stream
+from ._rng import ndtr, node_stream
 from .mra import _snap
 
 __all__ = [

@@ -298,8 +298,9 @@ class TestSymmetricTreeDepCorr:
 
 
 class TestConstraintSetType:
-    def test_direct_construction(self):
-        cs = CovarianceConstraintSet(
+    @staticmethod
+    def direct_set():
+        return CovarianceConstraintSet(
             leaf_order=((1,), (2,), (3,)),
             variances=[1.0, 1.0, 1.0],
             fixed={(0, 1): 0.2},
@@ -307,8 +308,18 @@ class TestConstraintSetType:
             tree_dep=np.eye(3),
             objective=(0, 2),
         )
+
+    def test_direct_construction(self):
+        cs = self.direct_set()
         assert cs.dim == 3
         assert cs.objective == (0, 2)
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_tree_dep_off_its_constraints_is_rejected(self, direction):
+        # np.eye(3) misses the pinned 0.2 and the sum 0.5; a search started
+        # there keeps those misses in its witness
+        with pytest.raises(ValueError, match=r"tree_dep .* residual 0\.5$"):
+            extremal_correlation(self.direct_set(), direction)
 
 
 class TestSymmetricTreeLaw:

@@ -4,7 +4,10 @@
 scipy.integrate or scipy.optimize, and only the Henze-Zirkler test needs
 scipy.linalg; each adds a large share of a cold start, so a fresh
 interpreter must not load them. The extremal correlation solver runs on
-numpy.linalg alone.
+numpy.linalg alone. The special functions come from scipy.special's
+compiled ufuncs without the package ``__init__`` and the array-API layer
+it loads; a real ``import scipy.special`` before or after must still work
+and hand out the same functions.
 """
 import os
 import subprocess
@@ -14,12 +17,17 @@ from pathlib import Path
 import aggtree
 
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+SPECIAL_INIT = ("scipy.special", "scipy._lib._array_api", "numpy.f2py")
+SPECIAL = ("ndtr", "ndtri", "owens_t")
 
 
-def fresh_interpreter(code):
-    """Standard output of ``code`` run by a new interpreter on this package."""
+def fresh_interpreter(code, **environ):
+    """Standard output of ``code`` run by a new interpreter on this package,
+    with ``SCIPY_ARRAY_API`` unset unless ``environ`` sets it."""
     package_root = str(Path(aggtree.__file__).resolve().parent.parent)
     env = dict(os.environ)
+    env.pop("SCIPY_ARRAY_API", None)
+    env.update(environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -31,6 +39,52 @@ def test_cli_import_skips_heavy_scipy_subpackages():
     code = ("import sys, aggtree.cli; "
             f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))")
     assert fresh_interpreter(code) == ""
+
+
+def test_cli_import_skips_scipy_special_init():
+    code = ("import sys, aggtree.cli; "
+            f"print(','.join(m for m in {SPECIAL_INIT!r} if m in sys.modules))")
+    assert fresh_interpreter(code) == ""
+
+
+def test_scipy_special_imported_after_aggtree():
+    code = (
+        "import aggtree.cli\n"
+        "from aggtree import _rng\n"
+        "import scipy.special, scipy.stats\n"
+        "print(round(float(scipy.stats.norm.ppf(0.3)), 12),\n"
+        f"      all(getattr(scipy.special, f) is getattr(_rng, f) for f in {SPECIAL!r}))\n"
+    )
+    assert fresh_interpreter(code) == "-0.524400512708 True"
+
+
+def test_scipy_special_imported_before_aggtree():
+    code = (
+        "import sys\n"
+        "import scipy.special\n"
+        "from aggtree import _rng\n"
+        "print(sys.modules['scipy.special'] is scipy.special,\n"
+        f"      all(getattr(scipy.special, f) is getattr(_rng, f) for f in {SPECIAL!r}))\n"
+    )
+    assert fresh_interpreter(code) == "True True"
+
+
+def test_array_api_mode_gives_the_same_values():
+    # with SCIPY_ARRAY_API=1 scipy.special wraps each ufunc, so compare values
+    code = (
+        "import numpy as np\n"
+        "import aggtree.cli\n"
+        "from aggtree import _rng\n"
+        "import scipy.special as sc, scipy.stats\n"
+        "x = np.linspace(-40.0, 40.0, 100001)\n"
+        "p = np.linspace(0.0, 1.0, 100001)\n"
+        "print(round(float(scipy.stats.norm.ppf(0.3)), 12),\n"
+        "      np.array_equal(sc.ndtr(x), _rng.ndtr(x)),\n"
+        "      np.array_equal(sc.ndtri(p), _rng.ndtri(p)),\n"
+        "      all(np.array_equal(sc.owens_t(x, a), _rng.owens_t(x, a))\n"
+        "          for a in (-3.0, -0.5, 0.25, 1.0, 7.5)))\n"
+    )
+    assert fresh_interpreter(code, SCIPY_ARRAY_API="1") == "-0.524400512708 True True True"
 
 
 def test_extremal_search_skips_scipy_linalg():
