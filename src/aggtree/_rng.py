@@ -48,4 +48,4 @@ def standard_normals(rng, shape):
     u = rng.random(shape)
     # rng.random() can emit exactly 0.0, which ndtri maps to -inf
     np.copyto(u, 2.0 ** -53, where=(u == 0.0))
-    return ndtri(u)
+    return ndtri(u, out=u)

@@ -198,6 +198,16 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
+def _check_out(path):
+    """Reject an ``--out`` that cannot be opened for writing, before any work."""
+    if path in (None, "-"):
+        return
+    target = Path(path)
+    if target.is_dir() or not target.parent.is_dir():
+        raise ConfigError(
+            f"--out must be '-' or a file in an existing directory, got {path!r}")
+
+
 @contextmanager
 def _open_out(path):
     if path in (None, "-"):
@@ -296,7 +306,7 @@ def _reorder_root(model, n, seed, budget=10**8):
     draws = n * len(model.tree.leaves())  # reorder draws n values per leaf
     if draws > budget:
         raise GenerationBudgetError(draws, budget)
-    return run_reordering(model, n, seed)[ROOT]
+    return run_reordering(model, n, seed)
 
 
 def cmd_validate(args):
@@ -719,6 +729,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except (GenerationBudgetError, SupportSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

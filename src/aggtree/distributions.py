@@ -35,7 +35,10 @@ class Normal:
     def sample(self, n, rng):
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self.mean + self.sd * standard_normals(rng, n)
+        z = standard_normals(rng, n)
+        z *= self.sd  # in place: the same IEEE results as mean + sd * z
+        z += self.mean
+        return z
 
     def quantile(self, u):
         """Generalized inverse CDF; maps 0 to -inf and 1 to +inf."""
@@ -151,8 +154,8 @@ class GaussianCopula:
         """n rows from the copula; columns are marginally uniform."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        z = standard_normals(rng, (n, self.dim))
-        return ndtr(z @ self._factor.T)
+        y = standard_normals(rng, (n, self.dim)) @ self._factor.T
+        return ndtr(y, out=y)
 
     def __repr__(self):
         if self.dim == 2:

@@ -13,7 +13,7 @@ recoverable.
 import numpy as np
 
 from ._rng import node_stream
-from .tree import node_label
+from .tree import ROOT, node_label
 
 __all__ = [
     "NodeAtoms",
@@ -49,9 +49,10 @@ class NodeAtoms:
     """Sampled sums of one node plus their decomposition bookkeeping.
 
     sums holds the n node-sum samples. For branching nodes, components
-    column i holds the child-i summand of each atom. composition holds
-    the underlying leaf values (columns follow leaf_order, the
-    lexicographic leaf order of the subtree).
+    column i holds the child-i summand of each atom (None below the root
+    in :func:`run_reordering`'s output). composition holds the underlying
+    leaf values (columns follow leaf_order, the lexicographic leaf order
+    of the subtree).
     """
 
     __slots__ = ("node", "sums", "components", "composition", "leaf_order")
@@ -110,22 +111,30 @@ def reorder_children(child_atoms, copula_samples):
 
 
 def run_reordering(model, n, seed):
-    """Run the full bottom-up reordering; returns {node: NodeAtoms}.
+    """Run the bottom-up reordering and return the root's :class:`NodeAtoms`.
 
-    Leaves hold raw marginal samples. The root's composition block is an
-    n x (number of leaves) matrix of joint leaf realizations.
-    Deterministic given ``seed``.
+    The tree is built depth first: each branching node is built from its
+    children's atoms, which are dropped once it is. A non-root node is
+    passed up without its ``components``, which its parent never reads, so
+    the working set does not grow with the depth of the tree. The root's
+    composition block is an n x (number of leaves) matrix of joint leaf
+    realizations. Every draw has its own (purpose, node) stream, so the
+    build order changes no value. Deterministic given ``seed``.
     """
     model.require_valid()
     if n < 2:
         raise ValueError("n must be >= 2")
     tree = model.tree
-    atoms = {}
-    for leaf in tree.leaves():
-        rng = node_stream(seed, "marginal", leaf)
-        atoms[leaf] = NodeAtoms.for_leaf(leaf, model.marginals[leaf].sample(n, rng))
-    for node in sorted(tree.branching(), key=len, reverse=True):
-        u = model.copulas[node].sample(n, node_stream(seed, "copula", node))
-        atoms[node] = reorder_children([atoms[c] for c in tree.children(node)], u)
-    return atoms
 
+    def build(node):
+        if tree.arity(node) == 0:
+            rng = node_stream(seed, "marginal", node)
+            return NodeAtoms.for_leaf(node, model.marginals[node].sample(n, rng))
+        children = [build(child) for child in tree.children(node)]
+        u = model.copulas[node].sample(n, node_stream(seed, "copula", node))
+        atoms = reorder_children(children, u)
+        if node != ROOT:
+            atoms.components = None
+        return atoms
+
+    return build(ROOT)

@@ -29,7 +29,6 @@ from aggtree import (
     Ecdf,
     GaussianCopula,
     NodeAtoms,
-    ROOT,
     RootedTree,
     conditional_independence_gap,
     empirical_joint_pmf,
@@ -81,7 +80,7 @@ def four_leaf_runs():
         sups = []
         for n in (10**3, 10**4, 10**5, 10**6):
             start = time.perf_counter()
-            atoms = run_reordering(model, n, seed)[ROOT]
+            atoms = run_reordering(model, n, seed)
             elapsed = time.perf_counter() - start
             sups.append(sup_distance(Ecdf(atoms.sums), reference))
         _, cov = sample_mean_cov(atoms.composition)
@@ -91,7 +90,7 @@ def four_leaf_runs():
         p_value = henze_zirkler(atoms.composition[pick]).p_value
         long_deviation = None
         if LONG_RUN:
-            atoms = run_reordering(model, 10**7, seed)[ROOT]
+            atoms = run_reordering(model, 10**7, seed)
             _, cov = sample_mean_cov(atoms.composition)
             long_deviation = float(np.max(np.abs(cov - law.covariance)))
         runs.append({"sups": sups, "deviation": deviation,

@@ -257,6 +257,46 @@ class TestSample:
         assert main(args + ["--budget", "200"]) == 0
 
 
+class TestOutPath:
+    """A bad ``--out`` exits 2 before any work and creates no file."""
+
+    @pytest.fixture(params=["missing-dir", "is-dir"])
+    def bad_out(self, request, tmp_path):
+        if request.param == "is-dir":
+            return tmp_path
+        return tmp_path / "missing" / "x.csv"
+
+    def commands(self, config):
+        return {
+            "sample": ["sample", config, "--n", "3000000", "--seed", "1"],
+            "treedep": ["treedep", config],
+            "bounds3": TestBounds3.ARGS,
+            "extremal": ["extremal", config, "--pair", "1.1,2.1"],
+        }
+
+    @pytest.mark.parametrize("command", ["sample", "treedep", "bounds3", "extremal"])
+    def test_exits_2_before_work(self, command, bad_out, four_leaf_config,
+                                 config_file, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(cli, "run_reordering", never)
+        argv = self.commands(config_file(four_leaf_config))[command]
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(argv + ["--out", str(bad_out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --out must be '-' or a file in an existing directory, "
+            f"got {str(bad_out)!r}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_dash_is_stdout(self, four_leaf_config, config_file, capsys):
+        rc = main(["sample", config_file(four_leaf_config), "--n", "3",
+                   "--out", "-"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def write_csv_per_cell(handle, header, rows):
     """The per-cell writer ``sample`` used before the bulk encoder; the
     byte reference for ``cli._write_block``."""

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from aggtree import (
 )
 from aggtree import reorder
 from aggtree.cli import main
+from aggtree._rng import node_stream
 from aggtree.reorder import stable_argsort
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
@@ -160,18 +162,21 @@ class TestReorderChildren:
 class TestRunReordering:
     def test_shapes_and_marginal_preservation(self, four_leaf_model):
         n = 2000
-        atoms = run_reordering(four_leaf_model, n, seed=5)
-        assert set(atoms) == set(four_leaf_model.tree.nodes)
-        root = atoms[ROOT]
+        root = run_reordering(four_leaf_model, n, seed=5)
+        leaves = four_leaf_model.tree.leaves()
+        assert root.node == ROOT
+        assert root.leaf_order == tuple(leaves)
         assert root.composition.shape == (n, 4)
         assert root.sums.shape == (n,)
         # node sums are the row sums of the tracked leaf composition
         np.testing.assert_allclose(root.sums, root.composition.sum(axis=1),
                                    rtol=0, atol=1e-9)
         # reordering only permutes each leaf's sample, never alters values
-        for idx, leaf in enumerate(four_leaf_model.tree.leaves()):
+        for idx, leaf in enumerate(leaves):
+            drawn = four_leaf_model.marginals[leaf].sample(
+                n, node_stream(5, "marginal", leaf))
             np.testing.assert_array_equal(
-                np.sort(root.composition[:, idx]), np.sort(atoms[leaf].sums))
+                np.sort(root.composition[:, idx]), np.sort(drawn))
 
     def test_three_leaf_independence_decorrelated(self):
         tree = RootedTree.from_nested({"children": [{"children": [{}, {}]}, {}]})
@@ -180,7 +185,7 @@ class TestRunReordering:
             {"1.1": Normal(0, 1), "1.2": Normal(0, 1), "2": Normal(0, 1)},
             {"1": Independence(2), "root": Independence(2)},
         )
-        comp = run_reordering(model, 10**5, seed=9)[ROOT].composition
+        comp = run_reordering(model, 10**5, seed=9).composition
         corr = np.corrcoef(comp.T)
         off = corr[np.triu_indices(3, 1)]
         assert np.max(np.abs(off)) <= 0.02
@@ -188,15 +193,17 @@ class TestRunReordering:
     def test_root_only_tree(self):
         tree = RootedTree({(): 0})
         model = AggregationTreeModel(tree, {"root": Normal(1.0, 4.0)}, {})
-        atoms = run_reordering(model, 50, seed=1)
-        assert set(atoms) == {()}
-        assert atoms[ROOT].sums.shape == (50,)
-        assert atoms[ROOT].composition.shape == (50, 1)
+        root = run_reordering(model, 50, seed=1)
+        assert root.node == ROOT
+        assert root.leaf_order == (ROOT,)
+        assert root.components is None
+        assert root.sums.shape == (50,)
+        assert root.composition.shape == (50, 1)
 
     def test_deterministic_and_seed_sensitive(self, four_leaf_model):
-        a = run_reordering(four_leaf_model, 200, seed=5)[ROOT].sums
-        b = run_reordering(four_leaf_model, 200, seed=5)[ROOT].sums
-        c = run_reordering(four_leaf_model, 200, seed=6)[ROOT].sums
+        a = run_reordering(four_leaf_model, 200, seed=5).sums
+        b = run_reordering(four_leaf_model, 200, seed=5).sums
+        c = run_reordering(four_leaf_model, 200, seed=6).sums
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -204,7 +211,7 @@ class TestRunReordering:
         target = tree_dependent_law(four_leaf_model).covariance
         devs = []
         for n in (10**3, 10**4):
-            comp = run_reordering(four_leaf_model, n, seed=2)[ROOT].composition
+            comp = run_reordering(four_leaf_model, n, seed=2).composition
             emp = np.cov(comp.T)
             devs.append(np.max(np.abs(emp - target)))
         assert devs[1] < devs[0]
@@ -215,6 +222,46 @@ class TestRunReordering:
         model = AggregationTreeModel(tree, {"1": Normal(0, 1)}, {})
         with pytest.raises(Exception):
             run_reordering(model, 10, seed=0)
+
+    def test_only_the_root_keeps_components(self, four_leaf_model, monkeypatch):
+        built = []
+
+        def keep(child_atoms, copula_samples):
+            built.append(reorder_children(child_atoms, copula_samples))
+            return built[-1]
+
+        monkeypatch.setattr(reorder, "reorder_children", keep)
+        root = run_reordering(four_leaf_model, 100, seed=3)
+        assert [atoms.node for atoms in built] == [(1,), (2,), ROOT]
+        assert built[-1] is root
+        assert root.components.shape == (100, 2)
+        assert all(atoms.components is None for atoms in built[:-1])
+
+    def test_working_set_four_leaf(self, four_leaf_model):
+        # with every node's atoms kept until the root was built, the
+        # traced peak was 39.9 MiB; built depth first it is 27.7 MiB
+        peak = traced_peak(run_reordering, four_leaf_model, 200_000, seed=5)
+        assert peak <= 32 * 2**20
+
+    def test_working_set_does_not_grow_with_depth(self):
+        # 32 unit-normal leaves; keeping every level's atoms gave a traced
+        # peak of 9.5 x n * leaves doubles, built depth first it is 2.7 x
+        tree = RootedTree.symmetric_binary(5)
+        model = AggregationTreeModel(
+            tree, {leaf: Normal(0, 1) for leaf in tree.leaves()},
+            {node: GaussianCopula.bivariate(0.5) for node in tree.branching()})
+        n = 20_000
+        peak = traced_peak(run_reordering, model, n, seed=3)
+        assert peak <= 4 * n * 32 * 8
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("algorithm, n, digest", [
