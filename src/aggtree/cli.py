@@ -79,8 +79,14 @@ class ConfigError(ValueError):
     """A config file that parses as JSON but does not describe a model."""
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _require(mapping, key, where):
-    if key not in mapping:
+    if key not in _object(mapping, where):
         raise ConfigError(f"{where} is missing required field {key!r}")
     return mapping[key]
 
@@ -141,14 +147,14 @@ def model_from_config(cfg):
     seed and n are returned as ints or None when absent; commands that
     need them enforce their presence.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     tree = RootedTree.from_nested(_require(cfg, "tree", "config"))
     marginals = {}
-    for label, spec in _require(cfg, "marginals", "config").items():
+    for label, spec in _object(_require(cfg, "marginals", "config"),
+                               "config field 'marginals'").items():
         marginals[node_id(label)] = _marginal_from_spec(spec, f"marginal {label!r}")
     copulas = {}
-    for label, spec in _require(cfg, "copulas", "config").items():
+    for label, spec in _object(_require(cfg, "copulas", "config"),
+                               "config field 'copulas'").items():
         node = node_id(label)
         # misplaced copulas get a placeholder arity; validate() reports them
         arity = tree.arity(node) if node in tree and tree.arity(node) > 0 else 2

@@ -154,7 +154,14 @@ class GaussianCopula:
         """n rows from the copula; columns are marginally uniform."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        y = standard_normals(rng, (n, self.dim)) @ self._factor.T
+        # z @ factor.T, summed column by column in a fixed order: BLAS
+        # kernels round differently from one CPU to the next
+        z = standard_normals(rng, (n, self.dim))
+        y = np.empty_like(z)
+        for i, row in enumerate(self._factor):
+            np.multiply(z[:, 0], row[0], out=y[:, i])
+            for k in range(1, self.dim):
+                y[:, i] += z[:, k] * row[k]
         return ndtr(y, out=y)
 
     def __repr__(self):

@@ -2,13 +2,14 @@
 
 A Gaussian aggregation tree pins the variance of every partial sum and
 the covariance between sibling partial sums. On the leaf covariance
-matrix this induces one affine constraint per branching node and child
-pair; sibling leaves get their entry fixed outright. The attainable range
-of a single leaf-pair correlation is the optimum of a small semidefinite
-program over the PSD matrices meeting those constraints, solved by one
-log-det barrier run that returns a feasible witness and a certified
-duality gap.
+matrix this induces one affine constraint per pair of sibling subtrees:
+the entries of the block between their leaves sum to a known value. The
+attainable range of a single leaf-pair correlation is the optimum of a
+small semidefinite program over the PSD matrices meeting those
+constraints, solved by one log-det barrier run that returns a feasible
+witness and a certified duality gap.
 """
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,17 +33,18 @@ __all__ = [
 class CovarianceConstraintSet:
     """Affine description of the covariances a tree model can induce.
 
-    ``fixed`` maps entry (i, j), i < j, to its pinned value; ``sums`` is a
-    list of (entries, rhs) with each off-diagonal entry appearing in
-    exactly one place overall. ``objective`` is the entry whose range is
-    being explored, or None.
+    Besides the leaf ``variances`` on the diagonal, ``blocks`` holds one
+    (rows, cols, rhs) per pair of sibling subtrees: ``rows`` and ``cols``
+    are the slices of the leaf order below the two siblings, and the
+    entries of the block ``[rows, cols]`` sum to ``rhs``. Each off-diagonal
+    entry lies in exactly one block. ``objective`` is the entry whose range
+    is being explored, or None.
     """
 
-    def __init__(self, leaf_order, variances, fixed, sums, tree_dep, objective=None):
+    def __init__(self, leaf_order, variances, blocks, tree_dep, objective=None):
         self.leaf_order = tuple(leaf_order)
         self.variances = np.asarray(variances, dtype=float)
-        self.fixed = dict(fixed)
-        self.sums = [(tuple(e), float(r)) for e, r in sums]
+        self.blocks = [(rows, cols, float(rhs)) for rows, cols, rhs in blocks]
         self.tree_dep = np.asarray(tree_dep, dtype=float)
         self.objective = self._entry(objective) if objective is not None else None
 
@@ -72,13 +74,8 @@ class CovarianceConstraintSet:
     def residual(self, matrix):
         """Largest absolute constraint violation of ``matrix``."""
         m = np.asarray(matrix, dtype=float)
-        worst = float(np.max(np.abs(np.diag(m) - self.variances)))
-        for (i, j), v in self.fixed.items():
-            worst = max(worst, abs(m[i, j] - v))
-        for entries, rhs in self.sums:
-            total = sum(m[i, j] for i, j in entries)
-            worst = max(worst, abs(total - rhs))
-        return worst
+        return max([float(np.max(np.abs(np.diag(m) - self.variances)))]
+                   + [abs(m[rows, cols].sum() - rhs) for rows, cols, rhs in self.blocks])
 
 
 def build_constraints(tree, leaf_variances, copula_corrs, objective=None):
@@ -89,32 +86,23 @@ def build_constraints(tree, leaf_variances, copula_corrs, objective=None):
     given, is a pair of leaves (ids or indices).
     """
     leaves = tree.leaves()
-    index = {leaf: k for k, leaf in enumerate(leaves)}
     variances = [float(leaf_variances[leaf]) for leaf in leaves]
     for leaf, v in zip(leaves, variances):
         if not 0.0 < v < math.inf:
             raise ValueError(f"leaf {node_label(leaf)}: variance must be finite and > 0")
     var_sum = node_sum_variances(tree, leaf_variances, copula_corrs)
-    fixed = {}
-    sums = []
+    blocks = []
     for node in tree.branching():
         children = tree.children(node)
         r = np.asarray(copula_corrs[node], dtype=float)
         sd = [math.sqrt(max(var_sum[c], 0.0)) for c in children]
-        for i in range(len(children)):
-            for j in range(i + 1, len(children)):
-                rhs = r[i, j] * sd[i] * sd[j]
-                entries = tuple(sorted(
-                    (min(index[a], index[b]), max(index[a], index[b]))
-                    for a in tree.leaf_descendants(children[i])
-                    for b in tree.leaf_descendants(children[j])
-                ))
-                if len(entries) == 1:
-                    fixed[entries[0]] = rhs
-                else:
-                    sums.append((entries, rhs))
+        # leaves are lexicographic, so the leaves below a child are one run
+        runs = [slice(leaves.index(below[0]), leaves.index(below[-1]) + 1)
+                for below in map(tree.leaf_descendants, children)]
+        for i, j in itertools.combinations(range(len(children)), 2):
+            blocks.append((runs[i], runs[j], r[i, j] * sd[i] * sd[j]))
     _, tree_dep = tree_dependent_covariance(tree, leaf_variances, copula_corrs)
-    return CovarianceConstraintSet(leaves, variances, fixed, sums, tree_dep, objective)
+    return CovarianceConstraintSet(leaves, variances, blocks, tree_dep, objective)
 
 
 def symmetric_tree_constraints(depth, rho, objective=None):
@@ -178,11 +166,10 @@ def _face(constraints):
     <A_k, X> = b_k; this is checked, not assumed. Returns a frame V of the
     range and orthonormal rows spanning the flattened V^T A_k V."""
     dim = constraints.dim
-    groups = [[e] for e in constraints.fixed] + [e for e, _ in constraints.sums]
-    stack = np.zeros((dim + len(groups), dim, dim))
-    for k, entries in enumerate([[(i, i)] for i in range(dim)] + groups):
-        stack[(k, *zip(*entries))] = 1.0
-    stack = _sym(stack)
+    stack = np.zeros((dim + len(constraints.blocks), dim, dim))
+    stack[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    for k, (rows, cols, _) in enumerate(constraints.blocks, start=dim):
+        stack[k, rows, cols] = stack[k, cols, rows] = 0.5
     lam, vec = np.linalg.eigh(constraints.tree_dep)
     if lam[0] < -_FACE_TOL * lam[-1]:
         raise ValueError(f"tree_dep is not PSD: eigenvalue {lam[0]:.3g}")

@@ -139,9 +139,10 @@ class CorrelationInterval:
 
 
 def _check_three_leaf_params(sigma1, sigma2, sigma3, rho12, rho_root):
+    # squares, their sums and products stay normal doubles in this range
     for name, s in (("sigma1", sigma1), ("sigma2", sigma2), ("sigma3", sigma3)):
-        if not s > 0.0:
-            raise ValueError(f"{name} must be positive, got {s}")
+        if not 1e-150 <= s <= 1e150:
+            raise ValueError(f"{name} must lie in [1e-150, 1e150], got {s}")
     for name, r in (("rho12", rho12), ("rho_root", rho_root)):
         if not -1.0 <= r <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1], got {r}")
@@ -174,6 +175,8 @@ def three_leaf_covariance(sigma1, sigma2, sigma3, rho12, rho_root, rho13):
     attainable interval.
     """
     interval = three_leaf_corr_interval(sigma1, sigma2, sigma3, rho12, rho_root)
+    if math.isnan(rho13):
+        raise ValueError("rho13 must be a number, got nan")
     slack = 1e-12
     if rho13 < interval.min - slack or rho13 > interval.max + slack:
         distance = max(interval.min - rho13, rho13 - interval.max)

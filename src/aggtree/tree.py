@@ -91,7 +91,13 @@ class RootedTree:
         counts = {}
 
         def walk(node, spec):
-            kids = spec.get("children", []) if isinstance(spec, dict) else []
+            where = f"tree node {node_label(node)}"
+            if not isinstance(spec, dict):
+                raise TreeStructureError(f"{where} must be an object, got {spec!r}")
+            kids = spec.get("children", [])
+            if not isinstance(kids, list):
+                raise TreeStructureError(
+                    f"{where}: 'children' must be a list, got {kids!r}")
             counts[node] = len(kids)
             for k, sub in enumerate(kids, start=1):
                 walk(node + (k,), sub)

@@ -21,7 +21,7 @@ from conftest import (
     FOUR_LEAF_MEAN,
     four_leaf_members,
 )
-from test_properties import PROPERTY_SUITES
+from property_suites import PROPERTY_SUITES, check_once
 
 from aggtree import (
     AggregationTreeModel,
@@ -420,9 +420,11 @@ def test_criterion_10_property_suites(record_criterion):
     failures = []
     for suite in PROPERTY_SUITES:
         try:
-            suite()
+            check_once(suite)
         except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            failures.append(f"{suite.__name__}: {exc}")
+            # hypothesis puts the falsifying example in the notes
+            notes = "".join(f"\n{note}" for note in getattr(exc, "__notes__", ()))
+            failures.append(f"{suite.__name__}: {exc}{notes}")
     record_criterion(10, "all five randomized property suites green at "
                          "1000 cases each", not failures)
     assert not failures, "\n".join(failures)

@@ -145,6 +145,26 @@ class TestConfigFields:
         assert len(read_csv(out)[1]) == 50
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("marginals", [], "config field 'marginals' must be a JSON object, got []"),
+        ("copulas", [], "config field 'copulas' must be a JSON object, got []"),
+        ("tree", {"children": [{}, 5]}, "tree node 2 must be an object, got 5"),
+        ("tree", {"children": 3}, "tree node root: 'children' must be a list, got 3"),
+    ])
+    def test_wrong_shape_exits_2(self, field, value, message, four_leaf_config,
+                                 config_file, tmp_path, capsys):
+        four_leaf_config[field] = value
+        for command in ("validate", "sample"):
+            err = self.run(four_leaf_config, config_file, tmp_path, capsys,
+                           command)
+            assert err == f"error: {message}\n"
+
+    def test_marginal_spec_must_be_an_object(self, four_leaf_config,
+                                             config_file, tmp_path, capsys):
+        four_leaf_config["marginals"]["1.1"] = 5
+        err = self.run(four_leaf_config, config_file, tmp_path, capsys)
+        assert err == "error: marginal '1.1' must be a JSON object, got 5\n"
+
     @pytest.mark.parametrize("flag", ["--seed", "--n"])
     def test_negative_flag_exits_2(self, flag, four_leaf_config, config_file,
                                    capsys):
@@ -494,6 +514,22 @@ class TestBounds3:
         err = capsys.readouterr().err
         assert err.startswith("error: correlation 0.99 is outside [")
         assert " by " in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--sigma1", "1e200", "--sigma2", "1e200"],
+         "sigma1 must lie in [1e-150, 1e150], got 1e+200"),
+        (["--sigma1", "inf"], "sigma1 must lie in [1e-150, 1e150], got inf"),
+        (["--sigma3", "inf", "--ellipse"],
+         "sigma3 must lie in [1e-150, 1e150], got inf"),
+        (["--rho13", "nan"], "rho13 must be a number, got nan"),
+    ])
+    def test_bad_input_exits_2_naming_the_field(self, extra, message, tmp_path,
+                                                capsys):
+        out = tmp_path / "row.csv"
+        rc = main(self.ARGS + extra + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_ellipse_columns(self, tmp_path):
         out = tmp_path / "row.csv"

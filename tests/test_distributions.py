@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import aggtree
 from aggtree import (
     Discrete,
     GaussianCopula,
@@ -167,6 +172,32 @@ class TestCopulas:
     def test_dims(self):
         assert Independence(3).dim == 3
         assert GaussianCopula(np.eye(4)).dim == 4
+
+
+# OpenBLAS picks its matrix-product kernel by CPU; the Prescott kernel has
+# no fused multiply-add, the default one on an FMA machine does
+COPULA_BYTES = """
+import hashlib, numpy as np
+from aggtree import GaussianCopula
+h = hashlib.sha256()
+for r in ([[1, 0.5], [0.5, 1]], [[1, 0.6, 0.2], [0.6, 1, 0.1], [0.2, 0.1, 1]]):
+    h.update(GaussianCopula(r).sample(200000, np.random.default_rng(7)).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_copula_values_do_not_depend_on_blas_kernel():
+    package_root = str(Path(aggtree.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def digest(extra):
+        return subprocess.run(
+            [sys.executable, "-c", COPULA_BYTES], env={**env, **extra},
+            capture_output=True, check=True, text=True).stdout
+
+    assert digest({"OPENBLAS_CORETYPE": "Prescott"}) == digest({})
 
 
 def quad_copula_cdf(rho, u1, u2):

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,13 @@ from aggtree import (
 )
 from aggtree.errors import UnsupportedModelError
 
+MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
+
+
+def entries(dim, rows, cols):
+    """The (i, j) entries of the block ``[rows, cols]``."""
+    return {(i, j) for i in range(dim)[rows] for j in range(dim)[cols]}
+
 
 def three_leaf_constraints(v1, v2, v3, rho12, rho0, objective=("1.1", "2")):
     tree = RootedTree.from_nested({"children": [{"children": [{}, {}]}, {}]})
@@ -33,15 +42,15 @@ class TestBuildConstraints:
         cs = three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3)
         assert cs.leaf_order == ((1, 1), (1, 2), (2,))
         np.testing.assert_array_equal(cs.variances, [1.0, 4.0, 2.25])
-        # sibling covariance pinned to rho12 * s1 * s2
-        assert set(cs.fixed) == {(0, 1)}
-        assert cs.fixed[(0, 1)] == pytest.approx(0.6 * 1.0 * 2.0)
+        # branching nodes in lexicographic order: the root, then node 1
+        (rows, cols, rhs), (rows1, cols1, rhs1) = cs.blocks
         # one aggregate constraint: s13 + s23 = rho0 * sd(S1) * sd(X3)
-        assert len(cs.sums) == 1
-        entries, rhs = cs.sums[0]
-        assert set(entries) == {(0, 2), (1, 2)}
+        assert (rows, cols) == (slice(0, 2), slice(2, 3))
         sd_pair = math.sqrt(1.0 + 4.0 + 2 * 0.6 * 2.0)
         assert rhs == pytest.approx(0.3 * sd_pair * 1.5)
+        # sibling covariance pinned to rho12 * s1 * s2
+        assert (rows1, cols1) == (slice(0, 1), slice(1, 2))
+        assert rhs1 == pytest.approx(0.6 * 1.0 * 2.0)
         assert cs.objective == (0, 2)
 
     def test_tree_dep_start_matches_closed_form(self):
@@ -58,38 +67,50 @@ class TestBuildConstraints:
         cs = build_constraints(
             tree, {(1,): 1.0, (2,): 4.0, (3,): 1.0}, {(): R},
             objective=("1", "2"))
-        assert cs.sums == []
-        assert cs.fixed[(0, 1)] == pytest.approx(0.5 * 2.0)
-        assert cs.fixed[(0, 2)] == pytest.approx(0.2)
-        assert cs.fixed[(1, 2)] == pytest.approx(-0.1 * 2.0)
+        # every sibling pair is a single entry
+        (r01, c01, s01), (r02, c02, s02), (r12, c12, s12) = cs.blocks
+        assert (r01, c01) == (slice(0, 1), slice(1, 2))
+        assert (r02, c02) == (slice(0, 1), slice(2, 3))
+        assert (r12, c12) == (slice(1, 2), slice(2, 3))
+        assert s01 == pytest.approx(0.5 * 2.0)
+        assert s02 == pytest.approx(0.2)
+        assert s12 == pytest.approx(-0.1 * 2.0)
 
     def test_symmetric_depth3_structure(self):
         rho = -0.5
         cs = symmetric_tree_constraints(3, rho, objective=("1.1.1", "2.2.2"))
         assert cs.dim == 8
         np.testing.assert_array_equal(cs.variances, np.ones(8))
-        # four sibling pairs pinned at rho
-        assert len(cs.fixed) == 4
-        for v in cs.fixed.values():
-            assert v == pytest.approx(rho)
-        # two mid-level blocks of 2x2 cross entries and one 4x4 root block
-        sizes = sorted(len(e) for e, _ in cs.sums)
-        assert sizes == [4, 4, 16]
-        for entries, rhs in cs.sums:
-            if len(entries) == 4:
+        # four sibling pairs pinned at rho, two mid-level blocks of 2x2
+        # cross entries and one 4x4 root block
+        sizes = [len(entries(cs.dim, rows, cols)) for rows, cols, _ in cs.blocks]
+        assert sorted(sizes) == [1, 1, 1, 1, 4, 4, 16]
+        for size, (_, _, rhs) in zip(sizes, cs.blocks):
+            if size == 1:
+                assert rhs == pytest.approx(rho)
+            elif size == 4:
                 assert rhs == pytest.approx(rho * 2.0 * (1.0 + rho))
             else:
                 assert rhs == pytest.approx(rho * 4.0 * (1.0 + rho) ** 2)
 
     def test_each_entry_constrained_once(self):
-        cs = symmetric_tree_constraints(3, 0.4, objective=("1.1.1", "2.2.2"))
-        seen = set(cs.fixed)
-        for entries, _ in cs.sums:
-            for e in entries:
-                assert e not in seen
-                seen.add(e)
-        npairs = cs.dim * (cs.dim - 1) // 2
-        assert len(seen) == npairs
+        # a binary tree, and a ternary one with three children at the root
+        # and at node 1
+        config = json.loads((MODELS / "six_leaf_discrete.json").read_text())
+        tree = RootedTree.from_nested(config["tree"])
+        ternary = build_constraints(
+            tree, {leaf: 1.0 for leaf in tree.leaves()},
+            {node: np.eye(tree.arity(node)) for node in tree.branching()})
+        binary = symmetric_tree_constraints(3, 0.4, objective=("1.1.1", "2.2.2"))
+        for cs in (binary, ternary):
+            seen = set()
+            for rows, cols, _ in cs.blocks:
+                for e in entries(cs.dim, rows, cols):
+                    assert e[0] < e[1] and e not in seen
+                    seen.add(e)
+            npairs = cs.dim * (cs.dim - 1) // 2
+            assert len(seen) == npairs
+        assert ternary.dim == 6 and len(ternary.blocks) == 7
 
     def test_objective_accepts_labels_and_indices(self):
         a = three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3, ("1.1", "2"))
@@ -158,9 +179,9 @@ class TestExtremalCorrelation:
         ok, lam = psd_feasible(w)
         assert ok, lam
         np.testing.assert_allclose(np.diag(w), cs.variances, atol=1e-7)
-        assert w[0, 1] == pytest.approx(cs.fixed[(0, 1)], abs=1e-7)
-        entries, rhs = cs.sums[0]
-        got = sum(w[e] for e in entries)
+        (rows, cols, rhs), (_, _, pinned) = cs.blocks
+        assert w[0, 1] == pytest.approx(pinned, abs=1e-7)
+        got = w[rows, cols].sum()
         assert got == pytest.approx(rhs, abs=1e-7)
         assert w[cs.objective] == pytest.approx(res.covariance, abs=1e-9)
         assert res.info["direction"] == "max"
@@ -227,7 +248,7 @@ class TestExtremalCorrelation:
     def test_unforced_singular_start_is_rejected(self):
         # a singular start whose null direction the constraints leave free
         cs = CovarianceConstraintSet(
-            leaf_order=((1,), (2,)), variances=[1.0, 1.0], fixed={}, sums=[],
+            leaf_order=((1,), (2,)), variances=[1.0, 1.0], blocks=[],
             tree_dep=np.ones((2, 2)), objective=(0, 1))
         with pytest.raises(UnsupportedModelError, match="singular"):
             extremal_correlation(cs, "min")
@@ -303,8 +324,8 @@ class TestConstraintSetType:
         return CovarianceConstraintSet(
             leaf_order=((1,), (2,), (3,)),
             variances=[1.0, 1.0, 1.0],
-            fixed={(0, 1): 0.2},
-            sums=[(((0, 2), (1, 2)), 0.5)],
+            blocks=[(slice(0, 1), slice(1, 2), 0.2),
+                    (slice(0, 2), slice(2, 3), 0.5)],
             tree_dep=np.eye(3),
             objective=(0, 2),
         )

@@ -203,6 +203,13 @@ class TestThreeLeafInterval:
             three_leaf_corr_interval(1.0, 1.0, 1.0, 1.5, 0.0)
         with pytest.raises(ValueError):
             three_leaf_corr_interval(1.0, 1.0, 1.0, 0.0, -1.5)
+        # 1e154 and 1e-200 overflow or underflow the squares, which used to
+        # report a degenerate pair
+        for sigma in (1e154, 1e-200, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^sigma2 must lie in \[1e-150, 1e150\]"):
+                three_leaf_corr_interval(1.0, sigma, 1.0, 0.5, 0.3)
+            with pytest.raises(ValueError, match=r"^sigma2 must lie"):
+                ellipse_parameters(1.0, sigma, 1.0, 0.5, 0.3)
 
 
 class TestThreeLeafCovariance:

@@ -48,6 +48,18 @@ def test_children_count_constructor_matches_nested():
     assert tree.to_nested() == {"children": [{"children": [{}, {}]}, {}]}
 
 
+@pytest.mark.parametrize("nested, message", [
+    ({"children": [{}, 5]}, "tree node 2 must be an object, got 5"),
+    ([], "tree node root must be an object, got []"),
+    ({"children": [{"children": {}}, {}]},
+     "tree node 1: 'children' must be a list, got {}"),
+])
+def test_from_nested_rejects_wrong_shapes(nested, message):
+    with pytest.raises(TreeStructureError) as exc:
+        RootedTree.from_nested(nested)
+    assert str(exc.value) == message
+
+
 def test_tree_rejects_missing_root():
     with pytest.raises(TreeStructureError):
         RootedTree({(1,): 0})
