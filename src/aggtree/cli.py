@@ -43,6 +43,10 @@ from .tree import ROOT, AggregationTreeModel, RootedTree, node_id, node_label
 
 __all__ = ["main", "model_from_config", "config_echo", "PRESETS"]
 _CSV_CHUNK_ROWS = 2**12  # bounds the string one % format builds
+# rows of the reorder root gathered at once for writing: a multiple of
+# _CSV_CHUNK_ROWS, so only the last chunk is short; 16 chunks per gather
+# ran faster than one
+_GATHER_ROWS = 2**16
 # %.17g of a cell with decimal exponent x in -6..16 is built in six words, 48
 # little-endian bytes with NULs to drop: the sign, leading text ("0.00" for
 # x < 0 in fixed notation) and digit 0, then digits 1-16, then the exponent
@@ -262,8 +266,8 @@ def _encode_g17(flat, columns):
     return rec.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_block(handle, header, block):
-    """Write ``block`` as ``%.17g`` CSV, byte for byte, one chunk at a time.
+def _write_block(handle, header, blocks):
+    """Write row ``blocks`` as one ``%.17g`` CSV, byte for byte, a chunk at a time.
 
     A chunk of integers below 1e17 (no -0.0) is written with ``%d``. A chunk
     of ±0 and 1e-6 <= |v| < 1e17 is encoded in numpy without rounding error.
@@ -279,8 +283,9 @@ def _write_block(handle, header, block):
     chunk (nan, inf, subnormal, tiny or huge values) is formatted by ``%``.
     """
     handle.write(",".join(header) + "\n")
-    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    for chunk in np.split(block, range(_CSV_CHUNK_ROWS, len(block), _CSV_CHUNK_ROWS)):
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    for chunk in (block[start:start + _CSV_CHUNK_ROWS] for block in blocks
+                  for start in range(0, len(block), _CSV_CHUNK_ROWS)):
         flat = chunk.ravel()
         a = np.abs(flat)
         if np.all(a < 1e17) and np.all(flat == np.rint(flat)) \
@@ -288,7 +293,7 @@ def _write_block(handle, header, block):
             handle.write(line.replace("%.17g", "%d") * len(chunk)
                          % tuple(flat.astype(np.int64).tolist()))
         elif np.all((a == 0) | ((a >= _DECADES[0]) & (a < _DECADES[-1]))):
-            handle.write(_encode_g17(flat, block.shape[1]))
+            handle.write(_encode_g17(flat, len(header)))
         else:
             handle.write(line * len(chunk) % tuple(flat.tolist()))
 
@@ -340,12 +345,13 @@ def cmd_sample(args):
         raise ConfigError(f"--budget must be finite and >= 0, got {args.budget!r}")
     if args.algorithm == "mra":
         out = run_mra(model, n, seed, budget=args.budget)
-        block, leaf_order = out.realizations, out.leaf_order
-    else:
+        blocks, leaf_order = [out.realizations], out.leaf_order
+    else:  # the root's rows are gathered as they are written
         atoms = _reorder_root(model, n, seed, args.budget)
-        block, leaf_order = atoms.composition, atoms.leaf_order
+        blocks = (atoms.rows(s, s + _GATHER_ROWS) for s in range(0, n, _GATHER_ROWS))
+        leaf_order = atoms.leaf_order
     with _open_out(args.out) as handle:
-        _write_block(handle, [node_label(leaf) for leaf in leaf_order], block)
+        _write_block(handle, [node_label(leaf) for leaf in leaf_order], blocks)
     return 0
 
 
@@ -482,10 +488,11 @@ def _preset_four_leaf(n, seed):
     atoms = _reorder_root(model, n, seed)
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
-    mean, cov = sample_mean_cov(atoms.composition)
+    composition = atoms.composition
+    mean, cov = sample_mean_cov(composition)
     sub = min(10**4, n)
     pick = node_stream(seed, "subsample").choice(n, size=sub, replace=False)
-    hz = henze_zirkler(atoms.composition[pick])
+    hz = henze_zirkler(composition[pick])
     tables = {"treedep.csv": _matrix_table(labels, law.covariance, law.mean),
               "sample_cov.csv": _matrix_table(labels, cov, mean)}
     return tables, [

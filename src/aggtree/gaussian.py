@@ -202,7 +202,9 @@ def ellipse_parameters(sigma1, sigma2, sigma3, rho12, rho_root):
     maps the grouped pair to independent coordinates: center ``x0`` (in
     cov13), semi-axes ``a`` (cov13 direction) and ``b``, plus the shear
     parameters ``u`` and ``v``. Undefined when the grouped pair is
-    perfectly correlated.
+    perfectly correlated, and refused when ``u**2 * v**2`` leaves the
+    double range, which can happen for extreme sigma ratios with rho12
+    near +/-1.
     """
     _check_three_leaf_params(sigma1, sigma2, sigma3, rho12, rho_root)
     l22 = sigma2 * math.sqrt(max(1.0 - rho12**2, 0.0))
@@ -211,6 +213,11 @@ def ellipse_parameters(sigma1, sigma2, sigma3, rho12, rho_root):
     d = sigma1**2 + sigma2**2 + 2.0 * rho12 * sigma1 * sigma2
     u = rho_root * math.sqrt(d) * sigma3 / l22
     v = (sigma1 + rho12 * sigma2) / l22
+    if not math.isfinite((u * u) * (v * v)):  # then every square below is finite
+        raise ValueError(
+            f"the ellipse overflows the double range at sigma1={sigma1!r}, "
+            f"sigma2={sigma2!r}, sigma3={sigma3!r}, rho12={rho12!r}, "
+            f"rho_root={rho_root!r}: u={u!r}, v={v!r}")
     x0 = u * v / (1.0 + v**2)
     a = math.sqrt(max((sigma3**2 - u**2) / (1.0 + v**2) + x0**2, 0.0))
     b = math.sqrt(max(sigma3**2 - u**2 + u**2 * v**2 / (1.0 + v**2), 0.0))

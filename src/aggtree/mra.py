@@ -48,14 +48,16 @@ def reorder_fixed_first(child_atoms, copula_samples):
     """Reorder like :func:`aggtree.reorder.reorder_children`, then permute
     the atoms so atom k's first component is child 1's sample k unchanged:
     child 1's row of stable rank j sits in the plain atom whose copula
-    sample has stable rank j in column 1.
+    sample has stable rank j in column 1. The sums and picks are permuted;
+    the leaf values stay with the children.
     """
     plain = reorder_children(child_atoms, copula_samples)
     u1 = np.asarray(copula_samples, dtype=float)[:, 0]
     perm = np.empty(plain.n, dtype=np.intp)
     perm[stable_argsort(child_atoms[0].sums)] = stable_argsort(u1)
-    return NodeAtoms(plain.node, plain.sums[perm], plain.components[perm],
-                     plain.composition[perm], plain.leaf_order)
+    return NodeAtoms(plain.node, plain.sums[perm],
+                     [(child, pick[perm]) for child, pick in plain.picks],
+                     None, plain.leaf_order)
 
 
 def _stable_rank(block, k):

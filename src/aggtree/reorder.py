@@ -3,9 +3,9 @@
 Leaves are sampled independently; at every branching node, samples of the
 children sums are re-paired so that their ranks match the ranks of a
 sample from the node copula (Iman and Conover 1982; Arbenz, Hummel and
-Mainik 2012), and the paired rows are summed. Full leaf composition is
-carried along so the joint leaf vector behind every node sum stays
-recoverable.
+Mainik 2012), and the paired rows are summed. Each node keeps which child
+atom it picked, not a copy of the leaf values, so the joint leaf vector
+behind every node sum stays recoverable by one gather at the root.
 
 :func:`reorder_children` is the one re-pairing kernel; its ranks come from
 :func:`stable_argsort`, so the output does not depend on SIMD dispatch.
@@ -46,22 +46,27 @@ def ranks(values):
 
 
 class NodeAtoms:
-    """Sampled sums of one node plus their decomposition bookkeeping.
+    """Sampled sums of one node and the leaf values behind each of them.
 
-    sums holds the n node-sum samples. For branching nodes, components
-    column i holds the child-i summand of each atom (None below the root
-    in :func:`run_reordering`'s output). composition holds the underlying
-    leaf values (columns follow leaf_order, the lexicographic leaf order
-    of the subtree).
+    sums holds the n node-sum samples (None below the root of
+    :func:`run_reordering`'s output). A leaf keeps its n x 1 block of
+    values (any n x width block, columns named by leaf_order, can stand for
+    a subtree). A branching node keeps picks instead: per child the pair
+    (child atoms, pick), where atom k's child summand is the child's atom
+    pick[k]; picks are int32 while n < 2**31. Nothing is copied up the
+    tree: composition (columns follow leaf_order, the lexicographic leaf
+    order of the subtree) is gathered through the composed picks on every
+    read, and components (column i the child-i summand) from the children's
+    sums, None at a leaf or once those sums are dropped.
     """
 
-    __slots__ = ("node", "sums", "components", "composition", "leaf_order")
+    __slots__ = ("node", "sums", "picks", "values", "leaf_order")
 
-    def __init__(self, node, sums, components, composition, leaf_order):
+    def __init__(self, node, sums, picks, values, leaf_order):
         self.node = node
         self.sums = sums
-        self.components = components
-        self.composition = composition
+        self.picks = picks
+        self.values = values
         self.leaf_order = leaf_order
 
     @classmethod
@@ -71,7 +76,34 @@ class NodeAtoms:
 
     @property
     def n(self):
-        return self.sums.shape[0]
+        return len(self.picks[0][1]) if self.picks else self.values.shape[0]
+
+    @property
+    def components(self):
+        if not self.picks or any(child.sums is None for child, _ in self.picks):
+            return None
+        return np.column_stack([child.sums[pick] for child, pick in self.picks])
+
+    @property
+    def composition(self):
+        return self.rows(0, self.n)
+
+    def rows(self, start, stop):
+        """Rows ``start:stop`` of :attr:`composition`, gathered anew."""
+        stop = min(stop, self.n)
+        out = np.empty((stop - start, len(self.leaf_order)))
+        self._gather(slice(start, stop), out)
+        return out
+
+    def _gather(self, rows, out):
+        if not self.picks:
+            out[:] = self.values[rows]
+            return
+        col = 0
+        for child, pick in self.picks:
+            width = len(child.leaf_order)
+            child._gather(pick[rows], out[:, col:col + width])
+            col += width
 
     def __repr__(self):
         return f"NodeAtoms({node_label(self.node)}, n={self.n})"
@@ -80,11 +112,14 @@ class NodeAtoms:
 def reorder_children(child_atoms, copula_samples):
     """Pair children order statistics by copula ranks and sum them.
 
-    Atom k's component i is the order statistic of child i's sums whose
-    stable rank equals the stable rank of copula sample k in column i.
-    Sums add the components in child order.
+    Atom k picks from child i the atom whose stable rank among child i's
+    sums equals the stable rank of copula sample k in column i. Sums add
+    the picked child sums in child order. The children are referenced, not
+    copied or changed; the copula block is released before the child sums
+    are ranked.
     """
     u = np.asarray(copula_samples, dtype=float)
+    del copula_samples
     if not child_atoms:
         raise ValueError("need at least one child")
     n = child_atoms[0].n
@@ -95,31 +130,33 @@ def reorder_children(child_atoms, copula_samples):
             f"copula sample block must have shape {(n, len(child_atoms))}, "
             f"got {u.shape}"
         )
-    parts = np.empty((n, len(child_atoms)))
-    comp = np.empty((n, sum(c.composition.shape[1] for c in child_atoms)))
-    col = 0
-    for i, child in enumerate(child_atoms):
-        pick = np.empty(n, dtype=np.intp)
-        pick[stable_argsort(u[:, i])] = stable_argsort(child.sums)
-        parts[:, i] = child.sums[pick]
-        width = child.composition.shape[1]
-        comp[:, col:col + width] = child.composition.take(pick, axis=0)
-        col += width
+    index = np.int32 if n < 2**31 else np.intp
+    slots = [stable_argsort(column).astype(index) for column in u.T]
+    del u
+    picks = []
+    for child, slot in zip(child_atoms, slots):
+        pick = np.empty(n, dtype=index)
+        pick[slot] = stable_argsort(child.sums)
+        picks.append((child, pick))
+    sums = child_atoms[0].sums[picks[0][1]]
+    for child, pick in picks[1:]:
+        sums += child.sums[pick]
     leaf_order = tuple(x for child in child_atoms for x in child.leaf_order)
-    return NodeAtoms(child_atoms[0].node[:-1], sum(parts.T[1:], parts[:, 0]),
-                     parts, comp, leaf_order)
+    return NodeAtoms(child_atoms[0].node[:-1], sums, picks, None, leaf_order)
 
 
 def run_reordering(model, n, seed):
     """Run the bottom-up reordering and return the root's :class:`NodeAtoms`.
 
     The tree is built depth first: each branching node is built from its
-    children's atoms, which are dropped once it is. A non-root node is
-    passed up without its ``components``, which its parent never reads, so
-    the working set does not grow with the depth of the tree. The root's
-    composition block is an n x (number of leaves) matrix of joint leaf
-    realizations. Every draw has its own (purpose, node) stream, so the
-    build order changes no value. Deterministic given ``seed``.
+    children's atoms. Once it is, the children's sums, which nothing reads
+    again, are dropped, so below the root only the leaf values and one
+    int32 pick per child and node are kept, and the working set does not
+    grow with the depth of the tree. The root's composition, an n x (number
+    of leaves) matrix of joint leaf realizations, is gathered on read, or
+    row range by row range with :meth:`NodeAtoms.rows`. Every draw has its
+    own (purpose, node) stream, so the build order changes no value.
+    Deterministic given ``seed``.
     """
     model.require_valid()
     if n < 2:
@@ -131,10 +168,10 @@ def run_reordering(model, n, seed):
             rng = node_stream(seed, "marginal", node)
             return NodeAtoms.for_leaf(node, model.marginals[node].sample(n, rng))
         children = [build(child) for child in tree.children(node)]
-        u = model.copulas[node].sample(n, node_stream(seed, "copula", node))
-        atoms = reorder_children(children, u)
-        if node != ROOT:
-            atoms.components = None
+        atoms = reorder_children(
+            children, model.copulas[node].sample(n, node_stream(seed, "copula", node)))
+        for child in children:
+            child.sums = None
         return atoms
 
     return build(ROOT)

@@ -389,7 +389,7 @@ def test_write_block_matches_per_cell_writer(block, encoded, monkeypatch):
     monkeypatch.setattr(cli, "_encode_g17", lambda *a: calls.append(1) or encode(*a))
     header = [f"c{j}" for j in range(block.shape[1])]
     fast, slow = io.StringIO(), io.StringIO()
-    cli._write_block(fast, header, block)
+    cli._write_block(fast, header, [block])
     write_csv_per_cell(slow, header, block)
     assert fast.getvalue() == slow.getvalue()
     assert len(calls) == encoded  # chunks that took the numpy encoder
@@ -409,7 +409,7 @@ BLOCKS = st.one_of(*(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dim
 @given(BLOCKS)
 def test_write_block_matches_per_cell_writer_on_any_floats(block):
     fast, slow = io.StringIO(), io.StringIO()
-    cli._write_block(fast, ["c"] * block.shape[1], block)
+    cli._write_block(fast, ["c"] * block.shape[1], [block])
     write_csv_per_cell(slow, ["c"] * block.shape[1], block)
     assert fast.getvalue() == slow.getvalue()
 
@@ -541,6 +541,17 @@ class TestBounds3:
         iv = three_leaf_corr_interval(1.0, 2.0, 1.0, 0.5, 0.3)
         assert (float(row["x0"]) + float(row["a"])) == pytest.approx(iv.max, abs=1e-12)
         assert (float(row["x0"]) - float(row["a"])) == pytest.approx(iv.min, abs=1e-12)
+
+    def test_ellipse_overflow_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        rc = main(["bounds3", "--sigma1", "1e100", "--sigma2", "1e-100",
+                   "--sigma3", "1e100", "--rho12", "0.999999", "--rho-root", "0.5",
+                   "--ellipse", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the ellipse overflows the double range at sigma1=1e+100, "
+            "sigma2=1e-100, sigma3=1e+100, rho12=0.999999, rho_root=0.5: ")
+        assert not out.exists()
 
 
 class TestExtremal:

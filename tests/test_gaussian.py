@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,3 +317,18 @@ class TestEllipseParameters:
             ellipse_parameters(1.0, 1.0, 1.0, 1.0, 0.2)
         with pytest.raises(ValueError):
             ellipse_parameters(1.0, 1.0, 1.0, -1.0, 0.2)
+
+    @pytest.mark.parametrize("params", [
+        (1e100, 1e-100, 1e100, 0.999999, 0.5),  # u**2 and v**2 overflow
+        (1e100, 1e90, 1e140, 0.0, 0.5),  # only u**2 * v**2 overflows
+    ])
+    def test_overflow_rejected_naming_the_inputs(self, params):
+        s1, s2, s3, rho12, rho0 = params
+        with pytest.raises(ValueError, match=re.escape(
+                f"the ellipse overflows the double range at sigma1={s1!r}, "
+                f"sigma2={s2!r}, sigma3={s3!r}, rho12={rho12!r}, rho_root={rho0!r}: ")):
+            ellipse_parameters(*params)
+
+    def test_extreme_ratios_in_range_stay_finite(self):
+        pars = ellipse_parameters(1e150, 1e150, 1e-150, 0.5, 0.5)
+        assert all(math.isfinite(value) for value in pars.values())

@@ -22,7 +22,7 @@ from aggtree import (
     run_reordering,
     tree_dependent_law,
 )
-from aggtree import reorder
+from aggtree import cli, reorder
 from aggtree.cli import main
 from aggtree._rng import node_stream
 from aggtree.reorder import stable_argsort
@@ -158,6 +158,18 @@ class TestReorderChildren:
         with pytest.raises(ValueError):
             reorder_children(atoms_pair(), np.array([[0.1, 0.2]] * 4))
 
+    def test_inputs_are_left_untouched(self):
+        # reorder_fixed_first reads child 1's sums after the kernel ran
+        rng = np.random.default_rng(5)
+        kids = [NodeAtoms.for_leaf((i + 1,), rng.standard_normal(50)) for i in range(3)]
+        sums = [kid.sums.copy() for kid in kids]
+        u = rng.random((50, 3))
+        out = reorder_children(kids, u.copy())
+        for kid, before in zip(kids, sums):
+            np.testing.assert_array_equal(kid.sums, before)
+        assert [child for child, _ in out.picks] == kids
+        np.testing.assert_array_equal(out.sums, out.components.sum(axis=1))
+
 
 class TestRunReordering:
     def test_shapes_and_marginal_preservation(self, four_leaf_model):
@@ -223,7 +235,10 @@ class TestRunReordering:
         with pytest.raises(Exception):
             run_reordering(model, 10, seed=0)
 
-    def test_only_the_root_keeps_components(self, four_leaf_model, monkeypatch):
+    def test_only_the_root_keeps_sums(self, four_leaf_model, monkeypatch):
+        # a node keeps its children's atoms and one int32 pick each; the
+        # children's sums are dropped once it is built, so no node has
+        # components to gather, the root included
         built = []
 
         def keep(child_atoms, copula_samples):
@@ -234,25 +249,31 @@ class TestRunReordering:
         root = run_reordering(four_leaf_model, 100, seed=3)
         assert [atoms.node for atoms in built] == [(1,), (2,), ROOT]
         assert built[-1] is root
-        assert root.components.shape == (100, 2)
-        assert all(atoms.components is None for atoms in built[:-1])
+        assert root.sums.shape == (100,)
+        assert [child for child, _ in root.picks] == built[:-1]
+        assert all(atoms.sums is None and atoms.components is None
+                   for atoms in built[:-1])
+        assert root.components is None
+        assert all(pick.dtype == np.int32 for atoms in built for _, pick in atoms.picks)
 
     def test_working_set_four_leaf(self, four_leaf_model):
         # with every node's atoms kept until the root was built, the
-        # traced peak was 39.9 MiB; built depth first it is 27.7 MiB
+        # traced peak was 39.9 MiB; built depth first it was 27.7 MiB, and
+        # with picks in place of composition copies it is 19.8 MiB
         peak = traced_peak(run_reordering, four_leaf_model, 200_000, seed=5)
-        assert peak <= 32 * 2**20
+        assert peak <= 22 * 2**20
 
     def test_working_set_does_not_grow_with_depth(self):
         # 32 unit-normal leaves; keeping every level's atoms gave a traced
-        # peak of 9.5 x n * leaves doubles, built depth first it is 2.7 x
+        # peak of 9.5 x n * leaves doubles, built depth first 2.7 x, and
+        # with picks in place of composition copies it is 2.2 x
         tree = RootedTree.symmetric_binary(5)
         model = AggregationTreeModel(
             tree, {leaf: Normal(0, 1) for leaf in tree.leaves()},
             {node: GaussianCopula.bivariate(0.5) for node in tree.branching()})
         n = 20_000
         peak = traced_peak(run_reordering, model, n, seed=3)
-        assert peak <= 4 * n * 32 * 8
+        assert peak <= 2.4 * n * 32 * 8
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -262,6 +283,45 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sample_working_set(tmp_path):
+    # the whole sample path, config to CSV, four-leaf model at n = 2e5:
+    # 19.9 MiB traced with the root's rows gathered as they are written;
+    # copying compositions up the tree and writing the root's block took
+    # 27.7 MiB
+    out = tmp_path / "draws.csv"
+    peak = traced_peak(main, ["sample", str(MODELS / "four_leaf_normal.json"),
+                              "--n", "200000", "--seed", "42", "--out", str(out)])
+    assert peak <= 22 * 2**20
+    assert len(out.read_bytes().splitlines()) == 200_001
+
+
+# SHA-256 of the four-leaf reorder sample at seed 42, at n around the edges of
+# the 4,096-row CSV chunks; recorded while sample still wrote the root's full
+# composition block
+CHUNK_EDGE_DIGESTS = {
+    2: "b98044de93b73ed6b8e33a885b380022f62e365930f7b857f3684b98f1e41037",
+    4095: "5a3e0c1a56946750a3c97026356ec213804773fb77cd1a16ff21b1d028a7a557",
+    4096: "056d0bc27fd8330207e62fa28a49be12a43a6f16b04cfb7212baa988cdb6f089",
+    4097: "0b7a7c9d8c62a6dea094a4f48e828e3453e35f684061ddff5716310ab7609081",
+    8193: "c3b982b6a0832a2323417e4c23e9621bbbf7465ba989aa8199d903b45aeb7513",
+}
+
+
+# gathering one chunk at a time puts a gather edge on every chunk edge
+@pytest.mark.parametrize("gather_rows", [None, cli._CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("n", sorted(CHUNK_EDGE_DIGESTS))
+def test_sample_bytes_at_chunk_edges(n, gather_rows, tmp_path, capsys, monkeypatch):
+    if gather_rows is not None:
+        monkeypatch.setattr(cli, "_GATHER_ROWS", gather_rows)
+    argv = ["sample", str(MODELS / "four_leaf_normal.json"), "--n", str(n), "--seed", "42"]
+    out = tmp_path / "draws.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHUNK_EDGE_DIGESTS[n]
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("algorithm, n, digest", [
