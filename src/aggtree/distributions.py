@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ._rng import ndtr, ndtri, owens_t, standard_normals
+from . import _rng
 from .errors import UnsupportedModelError
 
 
@@ -35,7 +35,7 @@ class Normal:
     def sample(self, n, rng):
         if n < 1:
             raise ValueError("n must be >= 1")
-        z = standard_normals(rng, n)
+        z = _rng.standard_normals(rng, n)
         z *= self.sd  # in place: the same IEEE results as mean + sd * z
         z += self.mean
         return z
@@ -45,10 +45,10 @@ class Normal:
         u = float(u)
         if not 0.0 <= u <= 1.0:
             raise ValueError("u must lie in [0, 1]")
-        return self.mean + self.sd * float(ndtri(u))
+        return self.mean + self.sd * float(_rng.ndtri(u))
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
+        return _rng.ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
 
     def __repr__(self):
         return f"Normal(mean={self.mean}, variance={self.variance})"
@@ -156,13 +156,13 @@ class GaussianCopula:
             raise ValueError("n must be >= 1")
         # z @ factor.T, summed column by column in a fixed order: BLAS
         # kernels round differently from one CPU to the next
-        z = standard_normals(rng, (n, self.dim))
+        z = _rng.standard_normals(rng, (n, self.dim))
         y = np.empty_like(z)
         for i, row in enumerate(self._factor):
             np.multiply(z[:, 0], row[0], out=y[:, i])
             for k in range(1, self.dim):
                 y[:, i] += z[:, k] * row[k]
-        return ndtr(y, out=y)
+        return _rng.ndtr(y, out=y)
 
     def __repr__(self):
         if self.dim == 2:
@@ -227,10 +227,11 @@ def bivariate_gaussian_copula_cdf(rho, u1, u2):
     elif rho <= -1.0 + 1e-12:
         value = np.maximum(u1 + u2 - 1.0, 0.0)
     else:
-        a, b = ndtri(u1), ndtri(u2)
+        a, b = _rng.ndtri(u1), _rng.ndtri(u2)
         s = math.sqrt(1.0 - rho * rho)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = owens_t(a, (b - rho * a) / (a * s)) + owens_t(b, (a - rho * b) / (b * s))
+            t = (_rng.owens_t(a, (b - rho * a) / (a * s))
+                 + _rng.owens_t(b, (a - rho * b) / (b * s)))
         origin = math.atan(math.sqrt((1.0 - rho) / (1.0 + rho))) / math.pi
         t = np.where((a == 0.0) & (b == 0.0), origin, t)
         value = np.clip(0.5 * (u1 + u2) - t - 0.5 * ((a < 0.0) != (b < 0.0)),

@@ -1,11 +1,12 @@
 """Exception types shared across the package."""
 import sys
-from decimal import Decimal
 
 
 def _approx(count):
     """``count`` to 3 significant digits, also an int beyond float range."""
     if abs(count) > sys.float_info.max:
+        from decimal import Decimal  # here, not at import: only huge counts need it
+
         count = Decimal(count).normalize()
     return f"{count:.3g}"
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import ndtr, node_stream
+from . import _rng
 from .mra import _snap
 
 __all__ = [
@@ -133,7 +133,7 @@ def henze_zirkler(block):
     )
     log_mu = math.log(math.sqrt(mu**4 / (var + mu**2)))
     log_sd = math.sqrt(math.log((var + mu**2) / mu**2))
-    p = float(1.0 - ndtr((math.log(statistic) - log_mu) / log_sd))
+    p = float(1.0 - _rng.ndtr((math.log(statistic) - log_mu) / log_sd))
     return HzResult(float(statistic), float(p), float(beta))
 
 
@@ -189,7 +189,7 @@ def conditional_independence_gap(block, left_cols, right_cols, sum_cols=None,
     if not parts:
         raise ValueError(f"no stratum reaches min_count={min_count}")
     gap = max(_stratum_gap(*part) for part in parts)
-    rng = node_stream(seed, "bootstrap")
+    rng = _rng.node_stream(seed, "bootstrap")
     replicates = np.empty(n_boot)
     for b in range(n_boot):
         worst = 0.0

@@ -83,11 +83,12 @@ def four_leaf_runs():
             atoms = run_reordering(model, n, seed)
             elapsed = time.perf_counter() - start
             sups.append(sup_distance(Ecdf(atoms.sums), reference))
-        _, cov = sample_mean_cov(atoms.composition)
+        composition = atoms.composition  # gathers n x 4 on every read
+        _, cov = sample_mean_cov(composition)
         deviation = float(np.max(np.abs(cov - law.covariance)))
         pick = node_stream(seed, "subsample").choice(10**6, 10**4,
                                                      replace=False)
-        p_value = henze_zirkler(atoms.composition[pick]).p_value
+        p_value = henze_zirkler(composition[pick]).p_value
         long_deviation = None
         if LONG_RUN:
             atoms = run_reordering(model, 10**7, seed)

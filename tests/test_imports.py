@@ -8,13 +8,19 @@ numpy.linalg alone. The special functions come from scipy.special's
 compiled ufuncs without the package ``__init__`` and the array-API layer
 it loads; a real ``import scipy.special`` before or after must still work
 and hand out the same functions.
+
+Only drawing needs numpy.random and the special functions, so they load on
+first use: the commands that draw nothing must end without numpy.random,
+any scipy module or decimal (which only a huge count's message needs).
 """
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import aggtree
+from conftest import FOUR_LEAF_CONFIG
 
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 SPECIAL_INIT = ("scipy.special", "scipy._lib._array_api", "numpy.f2py")
@@ -101,3 +107,79 @@ def test_extremal_search_skips_scipy_linalg():
         "print(res.status, 'scipy.linalg' in sys.modules)\n"
     )
     assert fresh_interpreter(code) == "optimal False"
+
+
+# any scipy submodule loads the scipy package itself
+SAMPLING_STACK = ("numpy.random", "scipy", "decimal")
+LOADED = f"print(','.join(m for m in {SAMPLING_STACK!r} if m in sys.modules))\n"
+
+
+def run_commands(commands):
+    """The modules of SAMPLING_STACK that a fresh interpreter has loaded after
+    running ``cli.main`` on each command, its output thrown away."""
+    code = ("import contextlib, io, sys\n"
+            "from aggtree import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n" + LOADED)
+    return fresh_interpreter(code)
+
+
+def test_cli_import_skips_the_sampling_stack():
+    assert fresh_interpreter("import sys, aggtree.cli\n" + LOADED) == ""
+
+
+def test_commands_without_draws_skip_the_sampling_stack(tmp_path):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(FOUR_LEAF_CONFIG))
+    config, out = str(config), str(tmp_path / "out")
+    assert run_commands([
+        ["validate", config],
+        ["treedep", config],
+        ["bounds3", "--sigma1", "1", "--sigma2", "2", "--sigma3", "1.5",
+         "--rho12", "0.5", "--rho-root", "0.3", "--rho13", "0.2", "--ellipse"],
+        ["extremal", config, "--pair", "1.1,2.1", "--direction", "both"],
+        ["experiment", "exp-5.sym8", "--rho-grid", "0.3", "--out-dir", out],
+    ]) == ""
+    assert run_commands([["experiment", "exp-4.3", "--out-dir", out]]) == ""
+
+
+def test_sampling_loads_the_stack(tmp_path):
+    # the guard above sees the modules once something draws
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(FOUR_LEAF_CONFIG))
+    assert run_commands([["sample", str(config), "--n", "10"]]) == "numpy.random,scipy"
+
+
+def test_special_functions_resolve_on_first_use():
+    # four threads touch ndtri first at once: one load, one ufunc for all
+    code = (
+        "import threading, time\n"
+        "from aggtree import _rng\n"
+        "loads, load = [], _rng._special_ufuncs\n"
+        "def slow_load():\n"
+        "    loads.append(1)\n"
+        "    time.sleep(0.2)  # the other threads ask while the first loads\n"
+        "    return load()\n"
+        "_rng._special_ufuncs = slow_load\n"
+        "start, got = threading.Barrier(4), []\n"
+        "def first_touch():\n"
+        "    start.wait()\n"
+        "    got.append(_rng.ndtri)\n"
+        "threads = [threading.Thread(target=first_touch) for _ in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "from aggtree._rng import ndtr\n"
+        "try:\n"
+        "    _rng.foo\n"
+        "    missing = False\n"
+        "except AttributeError as exc:\n"
+        "    missing = 'foo' in str(exc)\n"
+        "import scipy.special\n"
+        "print(len(loads), len(got), all(f is scipy.special.ndtri for f in got),\n"
+        "      ndtr is scipy.special.ndtr, missing)\n"
+    )
+    assert fresh_interpreter(code) == "1 4 True True True"
