@@ -4,10 +4,10 @@ A Gaussian aggregation tree pins the variance of every partial sum and
 the covariance between sibling partial sums. On the leaf covariance
 matrix this induces one affine constraint per pair of sibling subtrees:
 the entries of the block between their leaves sum to a known value. The
-attainable range of a single leaf-pair correlation is the optimum of a
+attainable range of a single leaf-pair correlation, the optimum of a
 small semidefinite program over the PSD matrices meeting those
-constraints, solved by one log-det barrier run that returns a feasible
-witness and a certified duality gap.
+constraints, is in closed form: the end angle of a free chain on the
+sphere, with a witness matrix that attains it.
 """
 import itertools
 import math
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedModelError
 from .gaussian import node_sum_variances, tree_dependent_covariance
 from .tree import RootedTree, node_id, node_label
 
@@ -126,8 +125,8 @@ def symmetric_tree_dep_corr(levels_up, rho):
     k = int(levels_up)
     if k < 1:
         raise ValueError("levels_up must be at least 1")
-    if not -1.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (-1, 1], got {rho}")
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     return rho * (1.0 + rho) ** (k - 1) / 2.0 ** (k - 1)
 
 
@@ -149,123 +148,120 @@ class ExtremalResult:
     info: dict = field(default_factory=dict)
 
 
-_FACE_TOL = 1e-10
-_MAX_NEWTON_STEPS = 400
-_T_GROWTH = 20.0
-_CENTERED = 0.25
+def _chain(constraints):
+    """Leaf runs of the partial sums on the path between the objective's
+    leaves i and j: from i up to the child of their meeting node, across to
+    the child holding j, and down to j."""
+    i, j = constraints.objective
+    span = range(constraints.dim)
+    runs = {span[s] for block in constraints.blocks for s in block[:2]}
+    # sibling runs nest, so those holding one leaf of the pair and not the
+    # other are the sums below the meeting node
+    up = sorted((r for r in runs if i in r and j not in r), key=len)
+    down = sorted((r for r in runs if j in r and i not in r), key=len)
+    siblings = [{span[rows], span[cols]} for rows, cols, _ in constraints.blocks]
+    if not (up and down and {up[-1], down[-1]} in siblings):
+        a, b = (node_label(constraints.leaf_order[k]) for k in (i, j))
+        raise ValueError(f"no sibling block holds the pair {a}, {b}")
+    return up + down[::-1]
 
 
-def _sym(m):
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+def _fold(lo, hi, step):
+    """Angles from a chain's start to the vertex ``step`` past the current
+    one, across a free joint, when those to the current one fill [lo, hi]."""
+    near = 0.0 if lo <= step <= hi else min(abs(step - lo), abs(step - hi))
+    if lo <= math.pi - step <= hi:
+        return near, math.pi
+    return near, max(min(x + step, 2.0 * math.pi - x - step) for x in (lo, hi))
 
 
-def _face(constraints):
-    """Facial reduction onto the range of the tree dependent matrix
-    (Drusvyatskiy & Wolkowicz 2017): a PSD X of the affine set has X N = 0,
-    N the null space, if N N^T is a combination of the symmetric A_k of
-    <A_k, X> = b_k; this is checked, not assumed. Returns a frame V of the
-    range and orthonormal rows spanning the flattened V^T A_k V."""
-    dim = constraints.dim
-    stack = np.zeros((dim + len(constraints.blocks), dim, dim))
-    stack[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
-    for k, (rows, cols, _) in enumerate(constraints.blocks, start=dim):
-        stack[k, rows, cols] = stack[k, cols, rows] = 0.5
-    lam, vec = np.linalg.eigh(constraints.tree_dep)
-    if lam[0] < -_FACE_TOL * lam[-1]:
-        raise ValueError(f"tree_dep is not PSD: eigenvalue {lam[0]:.3g}")
-    null = lam <= _FACE_TOL * lam[-1]
-    nn = (vec[:, null] @ vec[:, null].T).ravel()
-    a = stack.reshape(len(stack), -1).T  # columns vec(A_k)
-    if null.any() and np.linalg.norm(nn - a @ np.linalg.lstsq(a, nn)[0]) > _FACE_TOL:
-        raise UnsupportedModelError(
-            "the tree dependent covariance is singular, but the constraints "
-            "do not force every feasible covariance onto its range")
-    frame = vec[:, ~null]
-    _, s, rows = np.linalg.svd((frame.T @ stack @ frame).reshape(len(stack), -1),
-                               full_matrices=False)
-    return frame, rows[s > _FACE_TOL * s[0]]
+def _turn(f, run, axis, mov, fix, angle, spare):
+    """Turn the rows ``run`` of the factor ``f`` about their sum ``axis``
+    (freely if None) so that ``mov``, a vector they carry, makes ``angle``
+    with ``fix``. Column ``spare``, zero so far, gives the turn room to
+    reach every angle."""
+    def perp(v):
+        return v if axis is None else v - (v @ axis) / (axis @ axis) * axis
+
+    mp, fp = perp(mov), perp(fix)
+    nm, nf = np.linalg.norm(mp), np.linalg.norm(fp)
+    if nm == 0.0 or nf == 0.0:  # the turn cannot change the angle
+        return
+    # the spherical law of cosines at the joint
+    cos = np.clip((math.cos(angle) * np.linalg.norm(mov) * np.linalg.norm(fix)
+                   - mov @ fix + mp @ fp) / (nm * nf), -1.0, 1.0)
+    hop = np.zeros_like(fp)
+    hop[spare] = 1.0
+    to = cos * fp / nf - math.sqrt(1.0 - cos * cos) * hop
+    # mp/nm goes to the spare axis and on to ``to`` by two reflections,
+    # each in a hyperplane holding the axis and between unit vectors at
+    # least 90 degrees apart, so neither has a cancelling normal
+    for v in (perp(mp / nm - hop), perp(hop - to)):
+        f[run] -= np.outer(f[run] @ v, v) * (2.0 / (v @ v))
 
 
-def extremal_correlation(constraints, direction, bracket_tol=1e-7):
+def extremal_correlation(constraints, direction):
     """Largest or smallest attainable correlation for the objective pair.
 
-    One log-det barrier solve (Boyd & Vandenberghe, Convex Optimization,
-    10.2 and 11.3) from the tree dependent matrix: damped Newton steps on
-    ``-t*(+/-X_ij) - log det X`` under the tree constraints <A_k, X> = b_k,
-    t growing whenever the iterate is centered. With X = L L^T, a step
-    L U L^T takes U as the scaled gradient projected by a QR off the
-    L^T A_k L; an undamped min-norm move keeps each iterate on the affine
-    set. The solve stops once the duality gap the Newton direction
-    certifies is at most ``bracket_tol`` on the correlation scale.
-    Degenerate trees are reduced to their face first. An iterate within
-    1e-6 of +/-1 moves in the same metric onto exactly +/-1, the answer if
-    that passes ``psd_feasible``. The witness meets every constraint to
-    rounding and passes ``psd_feasible``. Status is "budget_exhausted" when
-    the Newton step cap or rounding ends the solve before the gap target,
-    else "optimal"; ``info`` holds ``direction``, the Newton step count
-    ``iterations`` and the certified ``gap``.
+    Read each partial sum as a vector of L^2; the rows of an eigen-factor
+    of ``tree_dep`` are the leaves. The sums on the path between the pair's
+    leaves (``_chain``) form a chain whose consecutive angles the
+    constraints fix. Turning a subtree about its own sum keeps every
+    constraint, so each inner vertex is a free joint, and one of variance 0
+    frees the angle across it. The angles from leaf i to each vertex fill
+    an interval [lo, hi], folded step by step; the value is cos(hi) at the
+    end for "min", cos(lo) for "max". The witness backtracks one reachable
+    angle per vertex and turns the factor's subtrees to meet them; it meets
+    every constraint to rounding and passes ``psd_feasible``. Status is
+    "optimal"; ``info`` holds ``direction``, the chain's step count
+    ``iterations`` and ``gap``, the witness's distance from the value, to
+    which its objective entry is then set.
     """
     if constraints.objective is None:
         raise ValueError("constraint set has no objective pair")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    if not (math.isfinite(bracket_tol) and bracket_tol > 0):
-        raise ValueError(f"bracket_tol must be finite and > 0, got {bracket_tol!r}")
-    # The search keeps the constraint values of its start, tree_dep. Sets from
-    # build_constraints miss by at most 1e-13 of the largest value, residual(0).
-    off = constraints.residual(constraints.tree_dep)
-    if not off <= 1e-9 * constraints.residual(np.zeros_like(constraints.tree_dep)):
-        raise ValueError(f"tree_dep does not meet the constraints: residual {off:.3g}")
+    lam, vec = np.linalg.eigh(constraints.tree_dep)
+    if lam[0] < -1e-10 * lam[-1]:
+        raise ValueError(f"tree_dep is not PSD: eigenvalue {lam[0]:.3g}")
     i, j = constraints.objective
+    chain = _chain(constraints)
+    steps = len(chain) - 1
+    ind = np.array([[k in run for k in range(constraints.dim)] for run in chain], float)
+    keep = lam > constraints.dim * np.finfo(float).eps * lam[-1]
+    f = np.hstack([vec[:, keep] * np.sqrt(lam[keep]),
+                   np.zeros((constraints.dim, steps - 1))])
+    x = ind @ f  # the chain's vertices
+    size = np.linalg.norm(x, axis=1)
+    free = size <= 1e-6 * (ind @ np.sqrt(constraints.variances))  # 0 up to rounding
+    with np.errstate(divide="ignore", invalid="ignore"):  # at free vertices
+        u = x / size[:, None]
+    # the angle between consecutive unit vertices, accurate near 0 and pi too
+    step = 2.0 * np.arctan2(np.linalg.norm(u[1:] - u[:-1], axis=1),
+                            np.linalg.norm(u[1:] + u[:-1], axis=1))
+    loose = free[:-1] | free[1:]
+    reach = [(0.0, 0.0)]
+    for k in range(steps):
+        reach.append((0.0, math.pi) if loose[k] else _fold(*reach[-1], step[k]))
+    angle = [0.0] * steps + [reach[-1][direction == "min"]]  # hi for "min"
+    for k in range(steps, 0, -1):
+        lo, hi = reach[k - 1]
+        angle[k - 1] = lo if loose[k - 1] else min(max(abs(angle[k] - step[k - 1]), lo), hi)
+
+    for k in range(1, steps):
+        nxt = f[chain[k + 1]].sum(axis=0)
+        mov, fix = (f[i], nxt) if i in chain[k] else (nxt, f[i])
+        axis = None if free[k] else f[chain[k]].sum(axis=0)
+        _turn(f, chain[k], axis, mov, fix, angle[k + 1], spare=-k)
+    # the turns keep every block sum, so the witness misses the constraints
+    # by what tree_dep does: at most 1e-13 of residual(0) from build_constraints
+    witness = f @ f.T
+    miss = constraints.residual(witness)
+    if not miss <= 1e-9 * constraints.residual(np.zeros_like(witness)):
+        raise ValueError(f"tree_dep does not meet the constraints: residual {miss:.3g}")
     scale = math.sqrt(constraints.variances[i] * constraints.variances[j])
-    frame, cons = _face(constraints)
-    rank = len(frame.T)
-    mats = cons.reshape(-1, rank, rank)
-    sign = 1.0 if direction == "max" else -1.0
-    obj = sign * _sym(np.outer(frame[i], frame[j])).ravel()  # X_ij on the face
-    info = {"direction": direction, "iterations": 0, "gap": 0.0}
-
-    def result(x, status, gap):
-        info["gap"] = float(gap / scale)
-        return ExtremalResult(x[i, j] / scale, x[i, j], x, status, info)
-
-    if np.linalg.norm(obj - cons.T @ (cons @ obj)) <= _FACE_TOL:
-        return result(constraints.tree_dep.copy(), "optimal", 0.0)
-    y = last = start = frame.T @ constraints.tree_dep @ frame
-    grad = np.stack([obj, np.eye(rank).ravel()], 1)
-    w = frame[i] - sign * constraints.variances[i] / scale * frame[j]  # X w = 0 at +/-1
-    t = rank / scale
-    gap = math.inf
-    try:
-        for steps in range(_MAX_NEWTON_STEPS + 1):
-            low = np.linalg.cholesky(y)
-            q, r = np.linalg.qr((low.T @ mats @ low).reshape(len(cons), -1).T)
-            fix = q @ np.linalg.solve(r.T, cons @ (start - y).ravel())
-            y = last = y + low @ fix.reshape(rank, rank) @ low.T
-            info["iterations"] = steps
-            if sign * (frame[i] @ y @ frame[j]) >= (1.0 - 1e-6) * scale:
-                # The shortest step L U L^T onto X w = 0 has U p = -p, p ~ L^T w.
-                p = low.T @ w / np.linalg.norm(low.T @ w)
-                rows = _sym(np.eye(rank)[:, :, None] * p).reshape(rank, -1)
-                u = np.linalg.lstsq(rows - rows @ q @ q.T, -p, rcond=_FACE_TOL)[0]
-                snap = _sym(frame @ (y + low @ u.reshape(rank, rank) @ low.T) @ frame.T)
-                if abs(snap[i, j] - sign * scale) <= 1e-12 * scale:
-                    snap[i, j] = snap[j, i] = sign * scale
-                    if psd_feasible(snap)[0]:
-                        return result(snap, "optimal", 0.0)
-            grad[:, 0] = (low.T @ obj.reshape(rank, rank) @ low).ravel()
-            toward, center = _sym((grad - q @ (q.T @ grad)).T.reshape(2, rank, rank))
-            while True:
-                u = t * toward + center
-                s = np.linalg.eigvalsh(u)
-                if s[-1] <= 1.0:
-                    gap = (rank - s.sum()) / t
-                    if gap <= bracket_tol * scale:
-                        return result(_sym(frame @ y @ frame.T), "optimal", gap)
-                if s @ s > _CENTERED or steps == _MAX_NEWTON_STEPS:
-                    break
-                t *= _T_GROWTH
-            y = y + low @ u @ low.T / (1.0 + math.sqrt(s @ s))
-    except np.linalg.LinAlgError:  # rounding near machine precision; keep last iterate
-        pass
-    return result(_sym(frame @ last @ frame.T), "budget_exhausted", gap)
+    value = math.cos(angle[-1])
+    info = {"direction": direction, "iterations": steps,
+            "gap": float(abs(witness[i, j] / scale - value))}
+    witness[i, j] = witness[j, i] = value * scale
+    return ExtremalResult(value, value * scale, witness, "optimal", info)

@@ -603,27 +603,6 @@ class TestExtremal:
         assert rc == 2
         assert "--pair must name two leaves" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
-    def test_bad_bracket_tol_exits_2(self, four_leaf_config, config_file,
-                                     capsys, tol):
-        rc = main(["extremal", config_file(four_leaf_config),
-                   "--pair", "1.1,2.1", f"--bracket-tol={tol}"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "--bracket-tol must be finite and > 0" in captured.err
-        assert captured.out == ""
-
-    def test_gap_target_not_reached_exits_3(self, four_leaf_config,
-                                            config_file, capsys):
-        rc = main(["extremal", config_file(four_leaf_config),
-                   "--pair", "1.1,2.1", "--direction", "min",
-                   "--bracket-tol", "1e-30"])
-        assert rc == 3
-        fields = dict(part.split("=")
-                      for part in capsys.readouterr().out.split())
-        assert fields["status"] == "budget_exhausted"
-        assert float(fields["gap"]) > 1e-30
-
 
 class TestExperimentPresets:
     def test_registry_names(self):
@@ -789,6 +768,20 @@ class TestExperimentPresets:
             entry = dict(zip(header, row))
             assert float(entry["min"]) == pytest.approx(-1.0, abs=1e-3)
             assert float(entry["max"]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_symmetric_preset_at_rho_minus_one(self, tmp_path, capsys):
+        # every sibling pair is countermonotone, so each level-1 sum is 0
+        out = tmp_path / "exp"
+        rc = main(["experiment", "exp-5.sym8", "--out-dir", str(out),
+                   "--rho-grid", "-1"])
+        assert rc == 0
+        capsys.readouterr()
+        header, rows = read_csv(out / "symmetric.csv")
+        assert [row[1] for row in rows] == ["pair13", "pair18"]
+        for row in rows:
+            entry = dict(zip(header, row))
+            assert (float(entry["min"]), float(entry["max"])) == (-1.0, 1.0)
+            assert entry["min_status"] == entry["max_status"] == "optimal"
 
 
 # sha256 of every output file, recorded before presets stopped writing their

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from aggtree import (
     symmetric_tree_dep_corr,
     three_leaf_corr_interval,
 )
-from aggtree.errors import UnsupportedModelError
+
+from barrier_reference import extremal_correlation as barrier_extremal
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 
@@ -229,28 +231,13 @@ class TestExtremalCorrelation:
         with pytest.raises(ValueError):
             extremal_correlation(cs, "both")
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-    def test_rejects_bad_gap_target(self, tol):
-        cs = three_leaf_constraints(1.0, 1.0, 1.0, 0.0, 0.3)
-        with pytest.raises(ValueError, match="bracket_tol"):
-            extremal_correlation(cs, "max", bracket_tol=tol)
-
-    def test_unreachable_gap_target_exhausts_with_feasible_witness(self):
-        cs = three_leaf_constraints(1.0, 4.0, 2.25, 0.6, 0.3)
-        res = extremal_correlation(cs, "min", bracket_tol=1e-30)
-        assert res.status == "budget_exhausted"
-        assert res.info["gap"] > 1e-30
-        assert psd_feasible(res.witness)[0]
-        assert cs.residual(res.witness) <= 1e-9
-        interval = three_leaf_corr_interval(1.0, 2.0, 1.5, 0.6, 0.3)
-        assert res.value == pytest.approx(interval.min, abs=1e-9)
-
     def test_unforced_singular_start_is_rejected(self):
-        # a singular start whose null direction the constraints leave free
+        # a singular start whose pair no sibling block constrains: the pair
+        # ends no chain of partial sums
         cs = CovarianceConstraintSet(
             leaf_order=((1,), (2,)), variances=[1.0, 1.0], blocks=[],
             tree_dep=np.ones((2, 2)), objective=(0, 1))
-        with pytest.raises(UnsupportedModelError, match="singular"):
+        with pytest.raises(ValueError, match="no sibling block holds the pair 1, 2$"):
             extremal_correlation(cs, "min")
 
     @pytest.mark.parametrize("rho", [1.5, -1.5])
@@ -312,8 +299,12 @@ class TestSymmetricTreeDepCorr:
     def test_domain(self):
         with pytest.raises(ValueError):
             symmetric_tree_dep_corr(0, 0.3)
+        # at rho = -1 siblings are countermonotone and their sums vanish,
+        # so every wider pair is uncorrelated
+        assert symmetric_tree_dep_corr(1, -1.0) == -1.0
+        assert symmetric_tree_dep_corr(2, -1.0) == 0.0
         with pytest.raises(ValueError):
-            symmetric_tree_dep_corr(1, -1.0)
+            symmetric_tree_dep_corr(1, -1.1)
         with pytest.raises(ValueError):
             symmetric_tree_dep_corr(1, 1.1)
 
@@ -334,6 +325,22 @@ class TestConstraintSetType:
         cs = self.direct_set()
         assert cs.dim == 3
         assert cs.objective == (0, 2)
+
+    def test_direct_set_matches_its_built_twin(self):
+        # the direct set's blocks with the tree dependent matrix they imply:
+        # X1 + X2 has variance 2.4 and meets X3 at covariance 0.5, split
+        # evenly between the two equal leaves
+        direct = self.direct_set()
+        direct.tree_dep = np.array([[1.0, 0.2, 0.25], [0.2, 1.0, 0.25],
+                                    [0.25, 0.25, 1.0]])
+        twin = three_leaf_constraints(1.0, 1.0, 1.0, 0.2, 0.5 / math.sqrt(2.4))
+        np.testing.assert_allclose(direct.tree_dep, twin.tree_dep, atol=1e-15)
+        for direction in ("min", "max"):
+            got = extremal_correlation(direct, direction)
+            want = extremal_correlation(twin, direction)
+            assert got.value == pytest.approx(want.value, abs=1e-12)
+            assert direct.residual(got.witness) <= 1e-9
+            assert psd_feasible(got.witness)[0]
 
     @pytest.mark.parametrize("direction", ["min", "max"])
     def test_tree_dep_off_its_constraints_is_rejected(self, direction):
@@ -382,3 +389,77 @@ class TestSymmetricTreeLaw:
         assert res.value == pytest.approx(-0.28, abs=1e-6)
         assert cs.residual(res.witness) <= 1e-9
         assert peak <= 64 * 2**20
+
+    @pytest.mark.parametrize("depth, rho, k", [
+        (3, 0.5, 3), (4, 0.5, 3), (5, 0.5, 3),
+        (4, 1.0 / math.sqrt(2.0), 4), (5, 1.0 / math.sqrt(2.0), 4)])
+    def test_law_reaches_minus_one_exactly(self, depth, rho, k):
+        # k * arccos(rho) = pi: the pair can be countermonotone
+        other = "1." * (depth - k) + "2" + ".1" * (k - 1)
+        cs = symmetric_tree_constraints(depth, rho, objective=("1." * (depth - 1) + "1", other))
+        res = extremal_correlation(cs, "min")
+        assert res.value == -1.0
+        assert res.status == "optimal"
+        assert psd_feasible(res.witness)[0]
+        assert cs.residual(res.witness) <= 1e-9
+
+
+def random_tree(rng, max_arity):
+    """A tree of 3 to 16 leaves: split random leaves into 2 to
+    ``max_arity`` children, no more than the leaf count still allows."""
+    counts, leaves = {(): 0}, [()]
+    target = int(rng.integers(3, 17))
+    while len(leaves) < target:
+        leaf = leaves.pop(int(rng.integers(len(leaves))))
+        counts[leaf] = min(int(rng.integers(2, max_arity + 1)), target - len(leaves))
+        for k in range(1, counts[leaf] + 1):
+            counts[leaf + (k,)] = 0
+            leaves.append(leaf + (k,))
+    return RootedTree(counts)
+
+
+def random_correlation(rng, k):
+    """A k x k correlation matrix from k + 1 random normal features."""
+    a = rng.standard_normal((k, k + 1))
+    c = a @ a.T
+    sd = np.sqrt(c.diagonal())
+    return c / np.outer(sd, sd)
+
+
+class TestBarrierReference:
+    """The chain law against an independent log-det barrier solve, on
+    seeded random trees with random variances, copulas and pairs."""
+
+    @pytest.mark.parametrize("max_arity, count, seed", [(2, 300, 1901), (4, 100, 1902)])
+    def test_matches_barrier_solve(self, max_arity, count, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            tree = random_tree(rng, max_arity)
+            variances = {leaf: rng.uniform(0.2, 5.0) for leaf in tree.leaves()}
+            corrs = {}
+            for node in tree.branching():
+                if max_arity == 2:
+                    rho = rng.uniform(-0.999, 0.999)
+                    corrs[node] = np.array([[1.0, rho], [rho, 1.0]])
+                else:
+                    corrs[node] = random_correlation(rng, tree.arity(node))
+            pair = rng.choice(len(tree.leaves()), 2, replace=False)
+            cs = build_constraints(tree, variances, corrs, objective=tuple(map(int, pair)))
+            for direction in ("min", "max"):
+                res = extremal_correlation(cs, direction)
+                ref = barrier_extremal(cs, direction)
+                assert res.value == pytest.approx(ref.value, abs=1e-6)
+                assert psd_feasible(res.witness)[0]
+                assert cs.residual(res.witness) <= 1e-9
+                assert res.witness[cs.objective] == res.covariance
+
+    def test_depth7_search_is_fast(self):
+        # 128 leaves: one eigen-factor of the 128 x 128 matrix, then a
+        # three-step chain
+        cs = symmetric_tree_constraints(
+            7, 0.6, objective=("1.1.1.1.1.1.1", "1.1.1.1.1.2.1"))
+        start = time.perf_counter()
+        res = extremal_correlation(cs, "min")
+        assert time.perf_counter() - start < 1.0
+        assert res.value == pytest.approx(-0.28, abs=1e-9)
+        assert cs.residual(res.witness) <= 1e-9
