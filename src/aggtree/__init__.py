@@ -43,7 +43,6 @@ from .gaussian import (
 )
 from .mra import (
     DiscreteJointPmf,
-    MraOutput,
     empirical_joint_pmf,
     reorder_fixed_first,
     run_mra,
@@ -85,7 +84,6 @@ __all__ = [
     "HzResult",
     "Independence",
     "InfeasibleCorrelationError",
-    "MraOutput",
     "NodeAtoms",
     "Normal",
     "ROOT",

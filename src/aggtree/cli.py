@@ -43,7 +43,7 @@ from .tree import ROOT, AggregationTreeModel, RootedTree, node_id, node_label
 
 __all__ = ["main", "model_from_config", "config_echo", "PRESETS"]
 _CSV_CHUNK_ROWS = 2**12  # bounds the string one % format builds
-# rows of the reorder root gathered at once for writing: a multiple of
+# rows of the sampled root gathered at once for writing: a multiple of
 # _CSV_CHUNK_ROWS, so only the last chunk is short; 16 chunks per gather
 # ran faster than one
 _GATHER_ROWS = 2**16
@@ -313,13 +313,6 @@ def _need(value, flag, name):
     return int(value)
 
 
-def _reorder_root(model, n, seed, budget=10**8):
-    draws = n * len(model.tree.leaves())  # reorder draws n values per leaf
-    if draws > budget:
-        raise GenerationBudgetError(draws, budget)
-    return run_reordering(model, n, seed)
-
-
 def cmd_validate(args):
     cfg = _load_config(args.config)
     model, seed, n = model_from_config(cfg)
@@ -343,15 +336,12 @@ def cmd_sample(args):
     n = _need(n, args.n, "n")
     if not 0.0 <= args.budget < math.inf:
         raise ConfigError(f"--budget must be finite and >= 0, got {args.budget!r}")
-    if args.algorithm == "mra":
-        out = run_mra(model, n, seed, budget=args.budget)
-        blocks, leaf_order = [out.realizations], out.leaf_order
-    else:  # the root's rows are gathered as they are written
-        atoms = _reorder_root(model, n, seed, args.budget)
-        blocks = (atoms.rows(s, s + _GATHER_ROWS) for s in range(0, n, _GATHER_ROWS))
-        leaf_order = atoms.leaf_order
+    sampler = run_mra if args.algorithm == "mra" else run_reordering
+    atoms = sampler(model, n, seed, args.budget)
+    # the root's rows are gathered as they are written
+    blocks = (atoms.rows(s, s + _GATHER_ROWS) for s in range(0, n, _GATHER_ROWS))
     with _open_out(args.out) as handle:
-        _write_block(handle, [node_label(leaf) for leaf in leaf_order], blocks)
+        _write_block(handle, [node_label(leaf) for leaf in atoms.leaf_order], blocks)
     return 0
 
 
@@ -479,7 +469,7 @@ def _preset_four_leaf(n, seed):
     least = len(model.tree.leaves()) + 1  # else the subsample covariance is singular
     if n < least:
         raise ConfigError(f"--n must be >= {least} for exp-3.4, got {n}")
-    atoms = _reorder_root(model, n, seed)
+    atoms = run_reordering(model, n, seed)
     law = tree_dependent_law(model)
     labels = [node_label(leaf) for leaf in law.leaf_order]
     composition = atoms.composition
@@ -598,7 +588,8 @@ def _preset_insurers():
 
 
 def _preset_symmetric(rho_grid):
-    grid = rho_grid or [round(-0.9 + 0.3 * k, 10) for k in range(7)]
+    # + 0.0 turns the middle point's -0.0 into 0.0, so no cell reads -0
+    grid = rho_grid or [round(-0.9 + 0.3 * k, 10) + 0.0 for k in range(7)]
     pairs = {"pair13": ("1.1.1", "1.2.1"), "pair18": ("1.1.1", "2.2.2")}
     degree = {"pair13": 2, "pair18": 3}
     rows = []

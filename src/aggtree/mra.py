@@ -17,20 +17,17 @@ trees, the validation target for the sampler, built on arrays: a points
 matrix and a probs vector per node, glued at each branching node by one
 outer product masked by the nonzero copula rectangle cells.
 """
-import math
-
 import numpy as np
 
 from ._rng import node_stream
 from .distributions import Discrete, bivariate_gaussian_copula_cdf, copula_correlation
-from .errors import GenerationBudgetError, SupportSizeError, UnsupportedModelError
-from .reorder import NodeAtoms, reorder_children, stable_argsort
-from .tree import node_label
+from .errors import SupportSizeError, UnsupportedModelError
+from .reorder import NodeAtoms, check_budget, reorder_children, stable_argsort
+from .tree import ROOT, node_label
 
 __all__ = [
     "reorder_fixed_first",
     "run_mra",
-    "MraOutput",
     "DiscreteJointPmf",
     "tree_dependent_pmf",
     "empirical_joint_pmf",
@@ -129,50 +126,23 @@ def _iid_rows(model, streams, node, rows, n):
     return sums, comp
 
 
-class MraOutput:
-    """n i.i.d. joint leaf realizations with column-to-leaf mapping."""
-
-    __slots__ = ("model", "realizations", "leaf_order")
-
-    def __init__(self, model, realizations, leaf_order):
-        self.model = model
-        self.realizations = realizations
-        self.leaf_order = leaf_order
-
-    @property
-    def n(self):
-        return self.realizations.shape[0]
-
-    def node_sums(self, node):
-        """Per-row sum over the leaf descendants of ``node``."""
-        cols = [self.leaf_order.index(lf)
-                for lf in self.model.tree.leaf_descendants(node)]
-        return self.realizations[:, cols].sum(axis=1)
-
-    def __repr__(self):
-        return f"MraOutput(n={self.n}, leaves={len(self.leaf_order)})"
-
-
 def run_mra(model, n, seed, budget=10**8):
     """Sample n i.i.d. joint leaf vectors; deterministic given ``seed``.
 
-    A leaf below d branching nodes draws n**(d + 1) values. Refuses to run,
-    before drawing anything, when the sum of these counts over all leaves
-    exceeds ``budget``, which must be finite and >= 0; the error carries
-    that count, an exact int, as ``estimate``. Every tree level is built in
-    chunks, so each level holds about max(``_CHUNK_ELEMS``, n) values per
-    leaf whatever the depth or ``budget``; the chunking does not change the
-    output.
+    Returns the root's :class:`NodeAtoms`: the n root sums, and the n x
+    (number of leaves) block of leaf values as its ``values``. A leaf below
+    d branching nodes draws n**(d + 1) values. Refuses to run, before
+    drawing anything, when the sum of these counts over all leaves, an
+    exact int, exceeds ``budget`` (see :func:`aggtree.reorder.check_budget`).
+    Every tree level is built in chunks, so each level holds about
+    max(``_CHUNK_ELEMS``, n) values per leaf whatever the depth or
+    ``budget``; the chunking does not change the output.
     """
     model.require_valid()
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not 0 <= budget < math.inf:
-        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
     leaves = model.tree.leaves()
-    estimate = sum(int(n) ** (len(leaf) + 1) for leaf in leaves)
-    if estimate > budget:
-        raise GenerationBudgetError(estimate, budget)
+    check_budget(sum(int(n) ** (len(leaf) + 1) for leaf in leaves), budget)
 
     cache = {}
 
@@ -182,7 +152,8 @@ def run_mra(model, n, seed, budget=10**8):
             cache[key] = node_stream(seed, purpose, node)
         return cache[key]
 
-    return MraOutput(model, _iid_rows(model, streams, (), n, n)[1], leaves)
+    sums, composition = _iid_rows(model, streams, ROOT, n, n)
+    return NodeAtoms(ROOT, sums, None, composition, leaves)
 
 
 class DiscreteJointPmf:

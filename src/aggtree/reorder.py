@@ -10,9 +10,12 @@ behind every node sum stays recoverable by one gather at the root.
 :func:`reorder_children` is the one re-pairing kernel; its ranks come from
 :func:`stable_argsort`, so the output does not depend on SIMD dispatch.
 """
+import math
+
 import numpy as np
 
 from ._rng import node_stream
+from .errors import GenerationBudgetError
 from .tree import ROOT, node_label
 
 __all__ = [
@@ -51,13 +54,14 @@ class NodeAtoms:
     sums holds the n node-sum samples (None below the root of
     :func:`run_reordering`'s output). A leaf keeps its n x 1 block of
     values (any n x width block, columns named by leaf_order, can stand for
-    a subtree). A branching node keeps picks instead: per child the pair
-    (child atoms, pick), where atom k's child summand is the child's atom
-    pick[k]; picks are int32 while n < 2**31. Nothing is copied up the
-    tree: composition (columns follow leaf_order, the lexicographic leaf
-    order of the subtree) is gathered through the composed picks on every
-    read, and components (column i the child-i summand) from the children's
-    sums, None at a leaf or once those sums are dropped.
+    a subtree, as in the root :func:`aggtree.mra.run_mra` returns). A
+    branching node keeps picks instead: per child the pair (child atoms,
+    pick), where atom k's child summand is the child's atom pick[k]; picks
+    are int32 while n < 2**31. Nothing is copied up the tree: composition
+    (columns follow leaf_order, the lexicographic leaf order of the
+    subtree) is gathered through the composed picks on every read, and
+    components (column i the child-i summand) from the children's sums,
+    None at a leaf or once those sums are dropped.
     """
 
     __slots__ = ("node", "sums", "picks", "values", "leaf_order")
@@ -145,9 +149,20 @@ def reorder_children(child_atoms, copula_samples):
     return NodeAtoms(child_atoms[0].node[:-1], sums, picks, None, leaf_order)
 
 
-def run_reordering(model, n, seed):
+def check_budget(draws, budget):
+    """Refuse ``draws`` leaf values beyond ``budget``, which must be finite
+    and >= 0; the error carries ``draws`` as ``estimate``."""
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
+    if draws > budget:
+        raise GenerationBudgetError(draws, budget)
+
+
+def run_reordering(model, n, seed, budget=10**8):
     """Run the bottom-up reordering and return the root's :class:`NodeAtoms`.
 
+    Each leaf draws n values. Refuses to run, before drawing anything, when
+    their total, an exact int, exceeds ``budget`` (see :func:`check_budget`).
     The tree is built depth first: each branching node is built from its
     children's atoms. Once it is, the children's sums, which nothing reads
     again, are dropped, so below the root only the leaf values and one
@@ -162,6 +177,7 @@ def run_reordering(model, n, seed):
     if n < 2:
         raise ValueError("n must be >= 2")
     tree = model.tree
+    check_budget(int(n) * len(tree.leaves()), budget)
 
     def build(node):
         if tree.arity(node) == 0:

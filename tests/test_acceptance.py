@@ -114,7 +114,7 @@ def bernoulli_mra_runs():
     start = time.perf_counter()
     pooled = {}
     for n in (50, 200):
-        pooled[n] = np.vstack([run_mra(model, n, seed).realizations
+        pooled[n] = np.vstack([run_mra(model, n, seed).composition
                                for seed in SEEDS])
     elapsed = time.perf_counter() - start
     return model, pooled, elapsed

@@ -783,6 +783,15 @@ class TestExperimentPresets:
             assert (float(entry["min"]), float(entry["max"])) == (-1.0, 1.0)
             assert entry["min_status"] == entry["max_status"] == "optimal"
 
+    def test_symmetric_preset_writes_no_negative_zero(self, tmp_path, capsys):
+        # the default grid's middle point, round(-0.9 + 0.3 * 3, 10), is -0.0
+        out = tmp_path / "exp"
+        assert main(["experiment", "exp-5.sym8", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out / "symmetric.csv")
+        assert [row[0] for row in rows[6:8]] == ["0", "0"]
+        assert not [cell for row in rows for cell in row if cell == "-0"]
+
 
 # sha256 of every output file, recorded before presets stopped writing their
 # own files; only presets free of LAPACK/BLAS calls, whose last bits may vary

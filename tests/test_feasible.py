@@ -188,7 +188,7 @@ class TestExtremalCorrelation:
         assert w[cs.objective] == pytest.approx(res.covariance, abs=1e-9)
         assert res.info["direction"] == "max"
         assert res.info["iterations"] >= 1
-        assert res.info["gap"] <= 1e-7  # the default bracket_tol
+        assert res.info["gap"] <= 1e-7  # the witness's distance from the value
 
     def test_fully_fixed_objective_is_trivial(self):
         tree = RootedTree.from_nested({"children": [{}, {}, {}]})
@@ -210,8 +210,8 @@ class TestExtremalCorrelation:
             assert hi.value == pytest.approx(1.0, abs=1e-3)
 
     def test_symmetric_comonotone_tree_is_a_point(self):
-        # rho = 1 makes every leaf equal; the null space of the start is
-        # forced only jointly, not direction by direction
+        # rho = 1 makes every leaf equal: each step of the chain between
+        # the pair is the angle 0, so the fold reaches only 0, both ways
         for pair in (("1.1.1", "1.2.1"), ("1.1.1", "2.2.2")):
             cs = symmetric_tree_constraints(3, 1.0, objective=pair)
             for direction in ("min", "max"):
@@ -371,7 +371,8 @@ class TestSymmetricTreeLaw:
                 assert res.value == pytest.approx(bound, abs=1e-6), (k, direction)
                 assert cs.residual(res.witness) <= 1e-9
                 assert psd_feasible(res.witness)[0]
-            # the upper end is reached by the exact move onto correlation 1
+            # two steps of one angle fold back to 0, so for k >= 2 the
+            # upper end is cos(0) = 1 exactly
             assert k == 1 or res.value == 1.0
 
     def test_depth6_search_is_small(self):

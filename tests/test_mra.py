@@ -16,7 +16,6 @@ from aggtree import (
     GaussianCopula,
     GenerationBudgetError,
     Independence,
-    MraOutput,
     Normal,
     NodeAtoms,
     ROOT,
@@ -27,6 +26,7 @@ from aggtree import (
     reorder_children,
     reorder_fixed_first,
     run_mra,
+    run_reordering,
     tree_dependent_pmf,
     tv_distance,
 )
@@ -127,13 +127,13 @@ class TestKeptAtoms:
 class TestRunMra:
     def test_shapes_and_determinism(self, four_leaf_model):
         out = run_mra(four_leaf_model, 64, seed=3)
-        assert isinstance(out, MraOutput)
-        assert out.realizations.shape == (64, 4)
+        assert isinstance(out, NodeAtoms)
+        assert out.composition.shape == (64, 4)
         assert out.leaf_order == tuple(four_leaf_model.tree.leaves())
         again = run_mra(four_leaf_model, 64, seed=3)
-        np.testing.assert_array_equal(out.realizations, again.realizations)
+        np.testing.assert_array_equal(out.composition, again.composition)
         other = run_mra(four_leaf_model, 64, seed=4)
-        assert not np.array_equal(out.realizations, other.realizations)
+        assert not np.array_equal(out.composition, other.composition)
 
     def test_chunking_does_not_change_output(self, four_leaf_model,
                                              monkeypatch):
@@ -147,10 +147,10 @@ class TestRunMra:
                  (six_leaf, 30, (1, 7, 50))]
         for model, n, chunks in cases:
             monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", 10**12)
-            whole = run_mra(model, n, seed=8).realizations
+            whole = run_mra(model, n, seed=8).composition
             for chunk in chunks:
                 monkeypatch.setattr(aggtree.mra, "_CHUNK_ELEMS", chunk)
-                chunked = run_mra(model, n, seed=8).realizations
+                chunked = run_mra(model, n, seed=8).composition
                 np.testing.assert_array_equal(
                     whole, chunked, err_msg=f"n={n}, chunk={chunk}")
 
@@ -173,7 +173,7 @@ class TestRunMra:
             {"root": GaussianCopula.bivariate(0.6)},
         )
         out = run_mra(model, 2000, seed=5)
-        x = out.realizations
+        x = out.composition
         assert abs(x[:, 0].mean() - 1.0) <= 0.15
         assert abs(x[:, 1].mean() + 1.0) <= 0.15
         assert abs(x[:, 0].var() - 2.0) <= 0.3
@@ -183,7 +183,7 @@ class TestRunMra:
     def test_independence_pairwise_correlations(self):
         # rows are i.i.d., so pooling runs gives the same law as one big run
         model = bernoulli3(rho1=None, rho0=None)
-        x = np.vstack([run_mra(model, 100, seed=s).realizations
+        x = np.vstack([run_mra(model, 100, seed=s).composition
                        for s in range(10)])
         assert x.shape == (10**3, 3)
         corr = np.corrcoef(x.T)
@@ -191,14 +191,15 @@ class TestRunMra:
         assert np.max(np.abs(off)) <= 0.1
 
     def test_node_sums_accessor(self, four_leaf_model):
+        # the root's sums add node 1's two columns to node 2's
         out = run_mra(four_leaf_model, 32, seed=1)
+        assert out.node == ROOT and out.sums.shape == (32,)
+        x = out.composition
+        np.testing.assert_allclose(out.sums, x.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(
-            out.node_sums(ROOT), out.realizations.sum(axis=1), atol=1e-12)
-        np.testing.assert_allclose(
-            out.node_sums((1,)), out.realizations[:, :2].sum(axis=1),
-            atol=1e-12)
+            out.sums, x[:, :2].sum(axis=1) + x[:, 2:].sum(axis=1), atol=1e-12)
 
-    def test_generation_budget(self):
+    def test_generation_budget(self, four_leaf_model):
         model = bernoulli3()
         with pytest.raises(GenerationBudgetError) as exc:
             run_mra(model, 10**5, seed=0)
@@ -209,12 +210,18 @@ class TestRunMra:
         assert "exceeds budget" in str(err)
         # explicit budget raise lets the same call through
         run_mra(model, 120, seed=0, budget=10**8)
+        # reordering draws n values per leaf: 200 for four leaves at n = 50
+        with pytest.raises(GenerationBudgetError) as exc:
+            run_reordering(four_leaf_model, 50, seed=0, budget=199)
+        assert exc.value.estimate == 200 and exc.value.budget == 199
+        assert run_reordering(four_leaf_model, 50, seed=0, budget=200).n == 50
 
     def test_budget_must_be_finite_and_nonnegative(self):
         model = bernoulli3()
-        for budget in (math.nan, math.inf, -1.0):
-            with pytest.raises(ValueError, match="budget must be finite"):
-                run_mra(model, 3, seed=0, budget=budget)
+        for sampler in (run_mra, run_reordering):
+            for budget in (math.nan, math.inf, -1.0):
+                with pytest.raises(ValueError, match="budget must be finite"):
+                    sampler(model, 3, seed=0, budget=budget)
 
     def test_huge_n_exceeds_budget_exactly(self):
         n = 10**400
@@ -223,10 +230,16 @@ class TestRunMra:
         assert exc.value.estimate == 2 * n**3 + n**2
         assert "estimated generation count 2e+1200 exceeds budget 1e+08" in str(
             exc.value)
+        # refused before any draw, not by numpy's array size limit
+        with pytest.raises(GenerationBudgetError) as exc:
+            run_reordering(bernoulli3(), n, seed=1)
+        assert exc.value.estimate == 3 * n
+        assert "estimated generation count 3e+400 exceeds budget 1e+08" in str(
+            exc.value)
 
     def test_iid_halves_close_in_tv(self):
         model = bernoulli3()
-        x = np.vstack([run_mra(model, 150, seed=s).realizations
+        x = np.vstack([run_mra(model, 150, seed=s).composition
                        for s in (13, 14, 15, 16)])
         p = empirical_joint_pmf(x[0::2])
         q = empirical_joint_pmf(x[1::2])
@@ -358,7 +371,7 @@ class TestTreeDependentPmf:
         oracle = tree_dependent_pmf(model)
         np.testing.assert_array_equal(
             oracle.points, empirical_joint_pmf(oracle.points).points)
-        x = run_mra(model, 2000, seed=0).realizations
+        x = run_mra(model, 2000, seed=0).composition
         assert tv_distance(empirical_joint_pmf(x), oracle) <= 0.1
 
     def test_non_binary_rejected(self):
@@ -459,6 +472,6 @@ class TestEmpiricalPmfAndTv:
     def test_mra_converges_to_oracle(self):
         model = bernoulli3()
         target = tree_dependent_pmf(model)
-        x = run_mra(model, 200, seed=2).realizations
+        x = run_mra(model, 200, seed=2).composition
         tv = tv_distance(empirical_joint_pmf(x), target)
         assert tv <= 0.15
